@@ -12,6 +12,7 @@ from .equilibrium import (
     full_lp_oracle,
     lower_bound_check,
     reduced_lp_feasible,
+    solve_batch,
 )
 from .estimator import (
     DEFAULT_SEARCH_BOUND,
@@ -32,6 +33,7 @@ from .experiments import (
     SweepSpec,
     audit_monotonicity,
     expected_direction,
+    monotonicity_violations,
     monte_carlo_accuracy,
     run_sweep,
     write_simulation_csv,

@@ -34,8 +34,8 @@ from .experiments import (
     NonBelievingReceiver,
     SweepAxis,
     SweepSpec,
-    audit_monotonicity,
     expected_direction,
+    monotonicity_violations,
     monte_carlo_accuracy,
     run_sweep,
     write_simulation_csv,
@@ -307,9 +307,8 @@ def cmd_sweep(args) -> int:
     if args.audit:
         if len(spec.axes) != 1:
             raise UsageError("--audit requires a single sweep axis")
-        axis = spec.axes[0].name
-        direction = expected_direction(axis)
-        violations = audit_monotonicity(spec, axis, direction)
+        direction = expected_direction(spec.axes[0].name)
+        violations = monotonicity_violations(result.records, direction)
         report["audit_direction"] = direction.value
         report["audit_violations"] = [
             {

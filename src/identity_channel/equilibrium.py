@@ -1,22 +1,23 @@
 """Sender-optimal encoding: closed form and an independent LP oracle.
 
-Two code paths compute the same equilibrium.  `closed_form_equilibrium`
-evaluates the analytic case table on the augmented parameters (k_A, k_B)
-and is restricted to populations where the out-group penalty dominates the
-in-group penalty.  `full_lp_oracle` solves the underlying four-variable
-linear program by enumerating all candidate vertices and needs no
-restriction; it exists as an independent cross-check.
+Two code paths compute the same equilibrium.  `solve_batch` evaluates the
+analytic case table on the augmented parameters (k_A, k_B) of many
+populations at once, as whole-array operations, and is restricted to
+populations where the out-group penalty dominates the in-group penalty;
+`closed_form_equilibrium` is its one-population case.  `full_lp_oracle`
+solves the underlying four-variable linear program by enumerating all
+candidate vertices and needs no restriction; it exists as an independent
+cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Group, Population, SenderStrategy, quality
+from .model import Group, Population, SenderStrategy, population_params, quality
 from .receiver import believes
 
 
@@ -70,32 +71,30 @@ class LpSolution:
     active_set: tuple[str, ...]
 
 
+def _augmented(params):
+    """(k_A, k_B) of parameter columns; NaN where a receiver has no weights.
+
+    Division by a zero denominator gives +inf (the numerator is then
+    non-negative) or, over a zero numerator, NaN; callers silence the
+    floating-point warnings.
+    """
+    la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B = params
+    return (
+        (ls_A * dI_A + la_A) / (ls_A * dO_A - la_A),
+        (ls_B * dO_B - la_B) / (ls_B * dI_B + la_B),
+    )
+
+
 def augmented_params(population: Population) -> AugmentedParams:
     """Compute (k_A, k_B); degenerate all-zero receivers raise."""
-    pa = population.profile_A
-    num_A = pa.identity_weight * pa.in_group_penalty + pa.accuracy_weight
-    den_A = pa.identity_weight * pa.out_group_penalty - pa.accuracy_weight
-    if den_A != 0.0:
-        k_A = num_A / den_A
-    elif num_A > 0.0:
-        k_A = math.inf
-    else:
-        raise IndeterminateParams(
-            "receiver type A has zero accuracy and identity weights"
-        )
-
-    pb = population.profile_B
-    num_B = pb.identity_weight * pb.out_group_penalty - pb.accuracy_weight
-    den_B = pb.identity_weight * pb.in_group_penalty + pb.accuracy_weight
-    if den_B != 0.0:
-        k_B = num_B / den_B
-    elif num_B != 0.0:
-        k_B = math.copysign(math.inf, num_B)
-    else:
-        raise IndeterminateParams(
-            "receiver type B has zero accuracy and identity weights"
-        )
-    return AugmentedParams(k_A=k_A, k_B=k_B)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ks = _augmented(np.array(list(population_params(population).values())))
+    for group, k in zip(Group, ks):
+        if np.isnan(k):
+            raise IndeterminateParams(
+                f"receiver type {group.value} has zero accuracy and identity weights"
+            )
+    return AugmentedParams(k_A=float(ks[0]), k_B=float(ks[1]))
 
 
 def reduced_lp_feasible(
@@ -124,60 +123,130 @@ def reduced_lp_feasible(
     return ok_A, ok_B
 
 
-def _case_candidates(k_A: float, k_B: float) -> list[tuple[str, tuple[float, float]]]:
-    """Candidate (n_A, n_B) points of every case whose closure contains (k_A, k_B).
+#: Nudge iterations; the step doubles each time, so 64 reach any coordinate.
+_NUDGE_STEPS = 64
 
-    The case table's strict inequalities are silent on boundaries; taking
-    closures and later picking the feasibility-maximal candidate resolves
-    every boundary and infinite-parameter input deterministically.
+
+@dataclass(frozen=True)
+class BatchEquilibrium:
+    """Closed-form equilibria of N populations, one array entry each.
+
+    Every encoding has m_A = m_B = 1.  Where `solved` is False the
+    population failed validation or the restriction, or has a receiver with
+    no weights, and the other entries are meaningless.  `case` indexes
+    `CASE_LABELS`.
     """
-    cands: list[tuple[str, tuple[float, float]]] = []
-    if k_A <= 0.0 and k_B <= 0.0:
-        cands.append(("k_A<0,k_B<0", (1.0, 1.0)))
-    if k_B >= k_A >= 0.0:
-        cands.append(("k_B>k_A>0", (0.0, 0.0)))
-    if 0.0 <= k_A <= 1.0 and k_A >= k_B:
-        cands.append(("1>k_A>k_B", (1.0, k_A)))
-    if k_A >= 1.0 >= k_B:
-        cands.append(("k_A>1>k_B", (1.0, 1.0)))
-    if k_A >= k_B >= 1.0:
-        cands.append(("k_A>k_B>1", (1.0 / k_B, 1.0)))
-    if k_B >= 0.0 >= k_A:
-        n_A = min(1.0, 1.0 / k_B) if k_B > 0.0 else 1.0
-        cands.append(("k_B>0>k_A", (n_A, 1.0)))
-    return cands
+
+    solved: np.ndarray
+    k_A: np.ndarray
+    k_B: np.ndarray
+    case: np.ndarray
+    n_A: np.ndarray
+    n_B: np.ndarray
+    quality: np.ndarray
+
+    def result(self, i: int) -> EquilibriumResult:
+        """Population `i`'s solution, which must be solved."""
+        strategy = SenderStrategy(1.0, 1.0, float(self.n_A[i]), float(self.n_B[i]))
+        return EquilibriumResult(
+            strategy=strategy,
+            quality=quality(strategy),
+            case_label=CASE_LABELS[self.case[i]],
+            params=AugmentedParams(k_A=float(self.k_A[i]), k_B=float(self.k_B[i])),
+        )
 
 
-def _nudge_to_believed(
-    n_A: float, n_B: float, population: Population, max_steps: int = 64
-) -> SenderStrategy:
-    """Shrink boundary coordinates by ulps until the exact believe check holds.
+def _ulps_down(n: np.ndarray, ulps: float) -> np.ndarray:
+    """`n` lowered by `ulps` of its spacing below, stopping at 0 (exact)."""
+    return np.maximum(n - ulps * (n - np.nextafter(n, 0.0)), 0.0)
 
-    Candidates sitting exactly on a constraint boundary can round to a
-    residual a few ulps below zero; backing the binding coordinate off by
-    the least possible amount restores exact feasibility without moving the
-    quality by more than ~1e-15.
+
+def solve_batch(params: np.ndarray) -> BatchEquilibrium:
+    """Analytic equilibria of populations given as rows of their parameters.
+
+    `params` has shape (N, 8), columns in `PARAM_NAMES` order.  A row is
+    solved when its parameters are finite and non-negative, both receiver
+    types satisfy the penalty-ordering restriction, and neither has all
+    weights zero.
+
+    Each case of the table whose closure contains (k_A, k_B) proposes an
+    (n_A, n_B) point; boundary and infinite-parameter inputs fall in several
+    closures.  A point sitting exactly on a constraint boundary can round to
+    a residual a few ulps below zero, so it is backed off until both types
+    believe it: while type A rejects, n_B moves toward 0, else while type B
+    rejects, n_A does, by 1, 2, 4, ... ulps (doubling each iteration, at
+    most 64).  Of the believed points the one of maximal quality wins, the
+    first in table order on exact quality ties.  Raises NoFeasibleEncoding
+    if a solved row has no believed point.
     """
-    for _ in range(max_steps):
-        strategy = SenderStrategy(1.0, 1.0, n_A, n_B)
-        bel_A, bel_B = believes(strategy, population)
-        if bel_A and bel_B:
-            return strategy
-        if not bel_A and n_B > 0.0:
-            n_B = math.nextafter(n_B, 0.0)
-        elif not bel_B and n_A > 0.0:
-            n_A = math.nextafter(n_A, 0.0)
-        else:
+    p = np.ascontiguousarray(np.asarray(params, dtype=float).T)
+    _, _, dI_A, dO_A, _, _, dI_B, dO_B = p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_A, k_B = _augmented(p)
+        solved = (
+            (np.isfinite(p) & (p >= 0.0)).all(axis=0)
+            & (dO_A >= dI_A)
+            & (dO_B >= dI_B)
+            & ~np.isnan(k_A)
+            & ~np.isnan(k_B)
+        )
+        inv_B = 1.0 / k_B
+        one, zero = np.ones_like(k_A), np.zeros_like(k_A)
+        # Closure of each case in CASE_LABELS order, and its (n_A, n_B) point.
+        applies = solved & np.stack([
+            (k_A <= 0.0) & (k_B <= 0.0),
+            (k_B >= k_A) & (k_A >= 0.0),
+            (0.0 <= k_A) & (k_A <= 1.0) & (k_A >= k_B),
+            (k_A >= 1.0) & (1.0 >= k_B),
+            (k_A >= k_B) & (k_B >= 1.0),
+            (k_B >= 0.0) & (0.0 >= k_A),
+        ])
+        n_A = np.stack(
+            [one, zero, one, one, inv_B,
+             np.where(k_B > 0.0, np.minimum(1.0, inv_B), 1.0)]
+        )
+        n_B = np.stack([one, zero, k_A, one, one, one])
+    # Points outside their closure become (0, 0), which never moves.
+    n_A = np.where(applies, n_A, 0.0)
+    n_B = np.where(applies, n_B, 0.0)
+
+    for step in range(_NUDGE_STEPS):
+        bel_A, bel_B = believes((1.0, 1.0, n_A, n_B), p)
+        lower_B = ~bel_A & (n_B > 0.0)
+        lower_A = ~lower_B & ~bel_B & (n_A > 0.0)
+        if not (lower_A.any() or lower_B.any()):
             break
-    return SenderStrategy(1.0, 1.0, n_A, n_B)
+        n_B = np.where(lower_B, _ulps_down(n_B, 2.0**step), n_B)
+        n_A = np.where(lower_A, _ulps_down(n_A, 2.0**step), n_A)
+    else:  # the last iteration moved points: test them again
+        bel_A, bel_B = believes((1.0, 1.0, n_A, n_B), p)
+
+    feasible = applies & bel_A & bel_B
+    if (solved & ~feasible.any(axis=0)).any():
+        raise NoFeasibleEncoding("no analytic candidate is feasible")
+    q = 2.0 + n_A + n_B
+    case = np.where(feasible, q, -np.inf).argmax(axis=0)
+    cells = np.arange(len(case))
+    return BatchEquilibrium(
+        solved=solved,
+        k_A=k_A,
+        k_B=k_B,
+        case=case,
+        n_A=n_A[case, cells],
+        n_B=n_B[case, cells],
+        quality=q[case, cells],
+    )
+
+
+def _params_rows(populations) -> np.ndarray:
+    return np.array([list(population_params(p).values()) for p in populations])
 
 
 def closed_form_equilibrium(population: Population) -> EquilibriumResult:
     """Analytic equilibrium encoding under the penalty-ordering restriction.
 
-    Always reports m_A = m_B = 1; (n_A, n_B) comes from the case table on
-    (k_A, k_B), with boundary ties resolved by the feasible candidate of
-    maximal quality (first case in table order on exact quality ties).
+    The one-population case of `solve_batch`: always reports m_A = m_B = 1,
+    with (n_A, n_B) from the case table on (k_A, k_B).
     """
     for group in Group:
         if not population.profile(group).restricted:
@@ -185,26 +254,8 @@ def closed_form_equilibrium(population: Population) -> EquilibriumResult:
                 f"receiver type {group.value} has in_group_penalty > "
                 "out_group_penalty; the closed form does not apply"
             )
-    params = augmented_params(population)
-
-    best: tuple[str, SenderStrategy] | None = None
-    for label, (n_A, n_B) in _case_candidates(params.k_A, params.k_B):
-        strategy = _nudge_to_believed(n_A, n_B, population)
-        bel_A, bel_B = believes(strategy, population)
-        if not (bel_A and bel_B):
-            continue
-        if best is None or quality(strategy) > quality(best[1]):
-            best = (label, strategy)
-    if best is None:  # pragma: no cover - at least one case is always feasible
-        raise NoFeasibleEncoding("no analytic candidate is feasible")
-
-    label, strategy = best
-    return EquilibriumResult(
-        strategy=strategy,
-        quality=quality(strategy),
-        case_label=label,
-        params=params,
-    )
+    augmented_params(population)  # raises for a receiver with no weights
+    return solve_batch(_params_rows([population])).result(0)
 
 
 def _constraint_rows(population: Population) -> tuple[np.ndarray, np.ndarray]:
@@ -367,15 +418,28 @@ def random_restricted_population(rng: np.random.Generator) -> Population:
 
 
 def check_equivalence(trials: int, seed: int) -> EquivalenceReport:
-    """Compare closed form and LP oracle on random restricted populations."""
+    """Compare closed form and LP oracle on random restricted populations.
+
+    The closed form solves all populations in one batch.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    cases = []
-    for _ in range(trials):
-        population = random_restricted_population(rng)
-        cases.append(compare_on(population))
-    return EquivalenceReport(cases=tuple(cases))
+    populations = [random_restricted_population(rng) for _ in range(trials)]
+    batch = solve_batch(_params_rows(populations))
+    return EquivalenceReport(
+        cases=tuple(
+            EquivalenceCase(
+                population=population,
+                # An unsolved population raises its typed error here.
+                closed=batch.result(i)
+                if batch.solved[i]
+                else closed_form_equilibrium(population),
+                lp=full_lp_oracle(population),
+            )
+            for i, population in enumerate(populations)
+        )
+    )
 
 
 def compare_on(population: Population) -> EquivalenceCase:

@@ -57,16 +57,13 @@ def ground_truth_oracle(population: Population) -> GroundTruthOracle:
     return GroundTruthOracle(population)
 
 
-def _round_key(side: Group, n_A: float, n_B: float) -> tuple[str, float, float]:
-    return (side.value, round(n_A, 9), round(n_B, 9))
-
-
 @dataclass(frozen=True)
 class ReplayOracle:
     """Oracle replaying previously recorded (side, n_A, n_B, answer) rows.
 
-    Lookups match announced strategies to 9 decimal places; querying an
-    unrecorded strategy raises KeyError.
+    Lookups match announced strategies exactly (`RecordingOracle` writes
+    `repr`, which round-trips); querying an unrecorded strategy raises
+    KeyError.
     """
 
     answers: Mapping[tuple[str, float, float], bool]
@@ -76,7 +73,7 @@ class ReplayOracle:
         cls, rows: list[tuple[Group, float, float, bool]]
     ) -> "ReplayOracle":
         return cls(
-            {_round_key(side, n_A, n_B): answer for side, n_A, n_B, answer in rows}
+            {(side.value, n_A, n_B): answer for side, n_A, n_B, answer in rows}
         )
 
     @classmethod
@@ -95,7 +92,7 @@ class ReplayOracle:
         return cls.from_rows(rows)
 
     def query(self, side: Group, n_A: float, n_B: float) -> bool:
-        return self.answers[_round_key(side, n_A, n_B)]
+        return self.answers[(side.value, n_A, n_B)]
 
 
 @dataclass(frozen=True)
@@ -157,9 +154,11 @@ def estimate_k(
     Starting from the bracket [0, M] and the probe ratio 1, each step
     announces n_B = min(1, ratio), n_A = min(1, 1/ratio) and tightens the
     bracket according to the believe answer; the next probe is the bracket
-    midpoint.  Terminates when the bracket is narrower than delta.  When the
-    true parameter lies in [0, M] the estimate is within delta of it, in at
-    most ceil(log2(M/delta)) + 1 queries.  A side that always believes
+    midpoint.  Terminates when the bracket is narrower than delta, or when
+    its midpoint rounds to one of its ends (delta below the float spacing
+    near the parameter).  When the true parameter lies in [0, M] the
+    estimate is within delta of it, or a bracket end one float spacing from
+    it, in at most ceil(log2(M/delta)) + 1 queries.  A side that always believes
     drives the estimate to M; a side-B parameter below zero drives it to 0.
     """
     if not (delta > 0.0) or not (M > 1.0) or delta >= M:
@@ -187,6 +186,8 @@ def estimate_k(
         steps += 1
         brackets.append((lower, upper))
         eta = (lower + upper) / 2.0
+        if eta in (lower, upper):
+            break
     return EstimationResult(
         k_hat=(lower + upper) / 2.0,
         lower=lower,

@@ -11,27 +11,27 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import (
-    AssumptionViolated,
-    IndeterminateParams,
-    closed_form_equilibrium,
-)
+from .equilibrium import CASE_LABELS, solve_batch
 from .model import (
     PARAM_NAMES,
     Group,
     Population,
     SenderStrategy,
-    population_from_params,
     population_params,
 )
 from .receiver import believes, best_response
 
 _AUDIT_TOL = 1e-9
+
+#: Grid cells solved per batch: bounds a sweep's working arrays whatever the
+#: grid size, and is large enough that per-batch overhead is negligible.
+_SWEEP_BLOCK = 4096
 
 
 class NonBelievingReceiver(ValueError):
@@ -127,49 +127,50 @@ class SweepResult:
     skipped: tuple[tuple[float, float | None], ...]
 
 
-def _cell_population(spec: SweepSpec, assignment: dict[str, float]) -> Population:
-    params = population_params(spec.base)
-    for name, value in assignment.items():
-        params[name] = value
-        if spec.simplex_constrained and name in _COMPLEMENT:
-            params[_COMPLEMENT[name]] = 1.0 - value
-    return population_from_params(params)
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the closed-form equilibrium on every grid cell, row-major.
 
-    Cells violating the penalty-ordering restriction, or whose swept
-    receiver has all weights zero, are skipped and reported separately.
+    Cells are solved in blocks of at most `_SWEEP_BLOCK` by the batch
+    solver.  Cells whose parameters are invalid (e.g. a negative simplex
+    complement), that violate the penalty-ordering restriction, or whose
+    swept receiver has all weights zero are skipped and reported separately.
     """
-    axis1 = spec.axes[0]
-    axis2 = spec.axes[1] if len(spec.axes) == 2 else None
+    axis_values = [axis.values() for axis in spec.axes]
+    shape = tuple(len(values) for values in axis_values)
+    cells = math.prod(shape)
+    base = np.array(list(population_params(spec.base).values()))
 
     records: list[SweepRecord] = []
     skipped: list[tuple[float, float | None]] = []
-    for v1 in axis1.values():
-        for v2 in axis2.values() if axis2 is not None else [None]:
-            assignment = {axis1.name: float(v1)}
-            if axis2 is not None:
-                assignment[axis2.name] = float(v2)
-            try:
-                population = _cell_population(spec, assignment)
-                result = closed_form_equilibrium(population)
-            except (AssumptionViolated, IndeterminateParams, ValueError):
-                skipped.append((float(v1), None if v2 is None else float(v2)))
-                continue
-            records.append(
-                SweepRecord(
-                    axis1=float(v1),
-                    axis2=None if v2 is None else float(v2),
-                    k_A=result.params.k_A,
-                    k_B=result.params.k_B,
-                    case=result.case_label,
-                    n_A=result.strategy.n_A,
-                    n_B=result.strategy.n_B,
-                    Q=result.quality,
-                )
+    for start in range(0, cells, _SWEEP_BLOCK):
+        index = np.unravel_index(
+            np.arange(start, min(start + _SWEEP_BLOCK, cells)), shape
+        )
+        coords = [values[i] for values, i in zip(axis_values, index)]
+        params = np.repeat(base[:, None], len(coords[0]), axis=1)
+        for axis, values in zip(spec.axes, coords):
+            params[PARAM_NAMES.index(axis.name)] = values
+            if spec.simplex_constrained and axis.name in _COMPLEMENT:
+                params[PARAM_NAMES.index(_COMPLEMENT[axis.name])] = 1.0 - values
+        if len(coords) == 1:
+            coords.append(np.full(len(coords[0]), None))
+        batch = solve_batch(params.T)
+
+        ok = batch.solved
+        records.extend(
+            map(
+                SweepRecord,
+                coords[0][ok].tolist(),
+                coords[1][ok].tolist(),
+                batch.k_A[ok].tolist(),
+                batch.k_B[ok].tolist(),
+                map(CASE_LABELS.__getitem__, batch.case[ok].tolist()),
+                batch.n_A[ok].tolist(),
+                batch.n_B[ok].tolist(),
+                batch.quality[ok].tolist(),
             )
+        )
+        skipped.extend(zip(coords[0][~ok].tolist(), coords[1][~ok].tolist()))
     return SweepResult(spec=spec, records=tuple(records), skipped=tuple(skipped))
 
 
@@ -179,24 +180,28 @@ def _fmt(value: float | None) -> str:
     return f"{value:.12g}"
 
 
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it, quoted where it must be."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="").writerow([text])
+    return buffer.getvalue()
+
+
 def write_sweep_csv(result: SweepResult, path) -> None:
-    """Serialize a sweep, one row per computed cell, 12 significant digits."""
+    """Serialize a sweep, one row per computed cell, 12 significant digits.
+
+    Each row is one format string.  The case label is the only field that
+    can need CSV quoting (it may contain a comma), so each label is quoted
+    once by csv.writer; the bytes are those csv.writer would write.
+    """
+    cases = {label: _csv_field(label) for label in CASE_LABELS}
+    row = "{:.12g},{},{:.12g},{:.12g},{},{:.12g},{:.12g},{:.12g}\n".format
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["axis1", "axis2", "k_A", "k_B", "case", "n_A", "n_B", "Q"])
-        for rec in result.records:
-            writer.writerow(
-                [
-                    _fmt(rec.axis1),
-                    _fmt(rec.axis2),
-                    _fmt(rec.k_A),
-                    _fmt(rec.k_B),
-                    rec.case,
-                    _fmt(rec.n_A),
-                    _fmt(rec.n_B),
-                    _fmt(rec.Q),
-                ]
-            )
+        handle.write("axis1,axis2,k_A,k_B,case,n_A,n_B,Q\n")
+        handle.writelines(
+            row(r.axis1, _fmt(r.axis2), r.k_A, r.k_B, cases[r.case], r.n_A, r.n_B, r.Q)
+            for r in result.records
+        )
 
 
 @dataclass(frozen=True)
@@ -210,15 +215,21 @@ class MonotonicityViolation:
 def audit_monotonicity(
     spec: SweepSpec, axis: str, direction: Direction
 ) -> tuple[MonotonicityViolation, ...]:
-    """Check quality ordering of adjacent cells along a 1-D sweep.
+    """Run a 1-D sweep along `axis` and check it with `monotonicity_violations`."""
+    if len(spec.axes) != 1 or spec.axes[0].name != axis:
+        raise ValueError(f"spec must be a 1-D sweep along {axis!r}")
+    return monotonicity_violations(run_sweep(spec).records, direction)
+
+
+def monotonicity_violations(
+    records: tuple[SweepRecord, ...], direction: Direction
+) -> tuple[MonotonicityViolation, ...]:
+    """Check quality ordering of adjacent cells of a 1-D sweep's records.
 
     Reports every adjacent pair whose quality moves against `direction` by
     more than 1e-9.  Skipped cells are excluded, so comparisons are between
     consecutive computed cells.
     """
-    if len(spec.axes) != 1 or spec.axes[0].name != axis:
-        raise ValueError(f"spec must be a 1-D sweep along {axis!r}")
-    records = run_sweep(spec).records
     violations = []
     for prev, cur in zip(records, records[1:]):
         delta = cur.Q - prev.Q

@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Group, Population, ReceiverStrategy, SenderStrategy
+from .model import (
+    Group,
+    Population,
+    ReceiverStrategy,
+    SenderStrategy,
+    population_params,
+)
 
 
 @dataclass(frozen=True)
@@ -19,7 +25,7 @@ class BeliefResiduals:
     """Rescaled belief-advantage of each (receiver type, message) pair.
 
     A nonnegative residual means the type's best response is to take the
-    message at face value.
+    message at face value.  Residuals of columns are arrays.
     """
 
     g_A_a: float
@@ -34,19 +40,21 @@ class BeliefResiduals:
         return self.g_B_a, self.g_B_b
 
 
-def belief_residuals(
-    strategy: SenderStrategy, population: Population
-) -> BeliefResiduals:
-    m_A, m_B = strategy.m_A, strategy.m_B
-    n_A, n_B = strategy.n_A, strategy.n_B
-    acc = m_A + m_B + n_A + n_B - 2.0
+def belief_residuals(strategy, population) -> BeliefResiduals:
+    """Residuals of a strategy under a population.
 
-    pa = population.profile_A
-    pb = population.profile_B
-    la_A, ls_A = pa.accuracy_weight, pa.identity_weight
-    dI_A, dO_A = pa.in_group_penalty, pa.out_group_penalty
-    la_B, ls_B = pb.accuracy_weight, pb.identity_weight
-    dI_B, dO_B = pb.in_group_penalty, pb.out_group_penalty
+    Either argument may instead be given as columns, which is how the batch
+    solver tests many candidates at once: `strategy` as (m_A, m_B, n_A, n_B)
+    and `population` as its eight parameters in `PARAM_NAMES` order, each a
+    float or an array.  Arrays broadcast, and the residuals are then arrays.
+    """
+    if isinstance(strategy, SenderStrategy):
+        strategy = (strategy.m_A, strategy.m_B, strategy.n_A, strategy.n_B)
+    if isinstance(population, Population):
+        population = population_params(population).values()
+    m_A, m_B, n_A, n_B = strategy
+    la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B = population
+    acc = m_A + m_B + n_A + n_B - 2.0
 
     return BeliefResiduals(
         g_A_a=ls_A * (dO_A * (m_B + 1.0 - n_B) - dI_A * (m_A + 1.0 - n_A))
@@ -75,10 +83,14 @@ def best_response(
     )
 
 
-def believes(strategy: SenderStrategy, population: Population) -> tuple[bool, bool]:
-    """Whether each receiver type's best response is to believe both messages."""
+def believes(strategy, population) -> tuple[bool, bool]:
+    """Whether each receiver type's best response is to believe both messages.
+
+    Takes the arguments of `belief_residuals`; given columns, the two
+    answers are boolean arrays.
+    """
     res = belief_residuals(strategy, population)
     return (
-        res.g_A_a >= 0.0 and res.g_A_b >= 0.0,
-        res.g_B_a >= 0.0 and res.g_B_b >= 0.0,
+        (res.g_A_a >= 0.0) & (res.g_A_b >= 0.0),
+        (res.g_B_a >= 0.0) & (res.g_B_b >= 0.0),
     )

@@ -1,0 +1,237 @@
+"""The batch solver, sweep and CSV writer against the per-cell scalar reference.
+
+The reference below is the closed form written one population at a time in
+plain Python: the augmented parameters, the six-case table and the boundary
+nudge (1, 2, 4, ... ulps per iteration, at most 64).  The batch code must
+reproduce it exactly, since both do the same IEEE operations in the same
+order: records are compared with ==, CSVs byte for byte.
+"""
+
+import csv
+import math
+
+import numpy as np
+import pytest
+
+from identity_channel.equilibrium import (
+    CASE_LABELS,
+    AssumptionViolated,
+    AugmentedParams,
+    EquilibriumResult,
+    IndeterminateParams,
+    NoFeasibleEncoding,
+    random_restricted_population,
+    solve_batch,
+)
+from identity_channel.experiments import (
+    _SWEEP_BLOCK,
+    SweepAxis,
+    SweepRecord,
+    SweepResult,
+    SweepSpec,
+    run_sweep,
+    write_sweep_csv,
+)
+from identity_channel.model import (
+    Group,
+    SenderStrategy,
+    population_from_params,
+    population_params,
+    quality,
+)
+from identity_channel.receiver import believes
+
+
+def reference_augmented(population):
+    pa = population.profile_A
+    num_A = pa.identity_weight * pa.in_group_penalty + pa.accuracy_weight
+    den_A = pa.identity_weight * pa.out_group_penalty - pa.accuracy_weight
+    if den_A != 0.0:
+        k_A = num_A / den_A
+    elif num_A > 0.0:
+        k_A = math.inf
+    else:
+        raise IndeterminateParams("type A")
+    pb = population.profile_B
+    num_B = pb.identity_weight * pb.out_group_penalty - pb.accuracy_weight
+    den_B = pb.identity_weight * pb.in_group_penalty + pb.accuracy_weight
+    if den_B != 0.0:
+        k_B = num_B / den_B
+    elif num_B != 0.0:
+        k_B = math.copysign(math.inf, num_B)
+    else:
+        raise IndeterminateParams("type B")
+    return AugmentedParams(k_A=k_A, k_B=k_B)
+
+
+def reference_candidates(k_A, k_B):
+    cands = []
+    if k_A <= 0.0 and k_B <= 0.0:
+        cands.append(("k_A<0,k_B<0", (1.0, 1.0)))
+    if k_B >= k_A >= 0.0:
+        cands.append(("k_B>k_A>0", (0.0, 0.0)))
+    if 0.0 <= k_A <= 1.0 and k_A >= k_B:
+        cands.append(("1>k_A>k_B", (1.0, k_A)))
+    if k_A >= 1.0 >= k_B:
+        cands.append(("k_A>1>k_B", (1.0, 1.0)))
+    if k_A >= k_B >= 1.0:
+        cands.append(("k_A>k_B>1", (1.0 / k_B, 1.0)))
+    if k_B >= 0.0 >= k_A:
+        n_A = min(1.0, 1.0 / k_B) if k_B > 0.0 else 1.0
+        cands.append(("k_B>0>k_A", (n_A, 1.0)))
+    return cands
+
+
+def reference_ulps_down(n, ulps):
+    return max(n - ulps * (n - math.nextafter(n, 0.0)), 0.0)
+
+
+def reference_nudge(n_A, n_B, population):
+    for step in range(64):
+        bel_A, bel_B = believes(SenderStrategy(1.0, 1.0, n_A, n_B), population)
+        if bel_A and bel_B:
+            break
+        if not bel_A and n_B > 0.0:
+            n_B = reference_ulps_down(n_B, 2.0**step)
+        elif not bel_B and n_A > 0.0:
+            n_A = reference_ulps_down(n_A, 2.0**step)
+        else:
+            break
+    return SenderStrategy(1.0, 1.0, n_A, n_B)
+
+
+def reference_closed_form(population):
+    for group in Group:
+        if not population.profile(group).restricted:
+            raise AssumptionViolated(group.value)
+    params = reference_augmented(population)
+    best = None
+    for label, (n_A, n_B) in reference_candidates(params.k_A, params.k_B):
+        strategy = reference_nudge(n_A, n_B, population)
+        if believes(strategy, population) != (True, True):
+            continue
+        if best is None or quality(strategy) > quality(best[1]):
+            best = (label, strategy)
+    if best is None:
+        raise NoFeasibleEncoding("no analytic candidate is feasible")
+    label, strategy = best
+    return EquilibriumResult(strategy, quality(strategy), label, params)
+
+
+_COMPLEMENT = {"lambda_a_A": "lambda_s_A", "lambda_s_A": "lambda_a_A",
+               "lambda_a_B": "lambda_s_B", "lambda_s_B": "lambda_a_B"}
+
+
+def reference_sweep(spec):
+    """(result, skip reasons): one cell at a time, skipping on the errors."""
+    axis2 = spec.axes[1] if len(spec.axes) == 2 else None
+    records, skipped, reasons = [], [], set()
+    for v1 in spec.axes[0].values():
+        for v2 in axis2.values() if axis2 is not None else [None]:
+            params = population_params(spec.base)
+            cell = [(spec.axes[0].name, float(v1))]
+            if axis2 is not None:
+                cell.append((axis2.name, float(v2)))
+            for name, value in cell:
+                params[name] = value
+                if spec.simplex_constrained and name in _COMPLEMENT:
+                    params[_COMPLEMENT[name]] = 1.0 - value
+            v2 = None if v2 is None else float(v2)
+            try:
+                result = reference_closed_form(population_from_params(params))
+            except ValueError as exc:
+                skipped.append((float(v1), v2))
+                reasons.add(type(exc).__name__)
+                continue
+            records.append(SweepRecord(
+                float(v1), v2, result.params.k_A, result.params.k_B,
+                result.case_label, result.strategy.n_A, result.strategy.n_B,
+                result.quality,
+            ))
+    return SweepResult(spec, tuple(records), tuple(skipped)), reasons
+
+
+def _fmt(value):
+    return "" if value is None else f"{value:.12g}"
+
+
+def reference_csv(result, path):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["axis1", "axis2", "k_A", "k_B", "case", "n_A", "n_B", "Q"])
+        for rec in result.records:
+            writer.writerow([_fmt(rec.axis1), _fmt(rec.axis2), _fmt(rec.k_A),
+                             _fmt(rec.k_B), rec.case, _fmt(rec.n_A),
+                             _fmt(rec.n_B), _fmt(rec.Q)])
+
+
+BASE = {
+    "lambda_a_A": 0.55, "lambda_s_A": 0.45, "delta_I_A": 1.0, "delta_O_A": 2.0,
+    "lambda_a_B": 0.55, "lambda_s_B": 0.45, "delta_I_B": 1.0, "delta_O_B": 3.5,
+}
+
+#: (base overrides, axes, simplex_constrained, features the grid must show).
+GRIDS = {
+    "six-cases-and-negative-complement": (
+        {}, [("lambda_a_A", 0.0, 1.5, 31), ("delta_O_B", 0.0, 4.0, 41)], True,
+        {*CASE_LABELS, "AssumptionViolated", "ValueError"},
+    ),
+    "infinite-k_A": (
+        {"lambda_s_A": 0.25}, [("lambda_a_A", 0.0, 1.0, 5), ("delta_O_B", 0.0, 4.0, 9)],
+        False, {"inf", "AssumptionViolated"},
+    ),
+    "indeterminate-2d": (
+        {}, [("lambda_s_A", 0.0, 1.0, 11), ("lambda_a_A", 0.0, 1.0, 11)], False,
+        {"IndeterminateParams"},
+    ),
+    "indeterminate-1d": (
+        {"lambda_a_B": 0.0}, [("lambda_s_B", 0.0, 1.0, 21)], False,
+        {"IndeterminateParams", "1-D"},
+    ),
+    "restriction-1d": (
+        {}, [("delta_I_A", 0.0, 4.0, 5)], False, {"AssumptionViolated", "1-D"},
+    ),
+    "several-blocks": (
+        {}, [("delta_O_A", 0.0, 6.0, 81), ("delta_O_B", 0.0, 6.0, 61)], False,
+        {"several blocks", "AssumptionViolated"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GRIDS))
+def test_sweep_matches_reference(name, tmp_path):
+    overrides, axes, simplex, features = GRIDS[name]
+    spec = SweepSpec(
+        base=population_from_params({**BASE, **overrides}),
+        axes=tuple(SweepAxis(*axis) for axis in axes),
+        simplex_constrained=simplex,
+    )
+    expected, reasons = reference_sweep(spec)
+    result = run_sweep(spec)
+    assert result.records == expected.records
+    assert result.skipped == expected.skipped
+
+    seen = reasons | {rec.case for rec in result.records}
+    if any(rec.k_A == math.inf for rec in result.records):
+        seen.add("inf")
+    if len(axes) == 1:
+        seen.add("1-D")
+    if len(result.records) + len(result.skipped) > _SWEEP_BLOCK:
+        seen.add("several blocks")
+    assert features <= seen
+
+    ours, theirs = tmp_path / "batch.csv", tmp_path / "reference.csv"
+    write_sweep_csv(result, ours)
+    reference_csv(expected, theirs)
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_batch_matches_reference_on_random_populations():
+    rng = np.random.default_rng(2024)
+    populations = [random_restricted_population(rng) for _ in range(2000)]
+    batch = solve_batch(
+        np.array([list(population_params(p).values()) for p in populations])
+    )
+    assert batch.solved.all()
+    for i, population in enumerate(populations):
+        assert batch.result(i) == reference_closed_form(population)

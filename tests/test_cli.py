@@ -173,6 +173,27 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert report["audit_violations"] == []
 
+    def test_audit_solves_the_sweep_once(
+        self, capsys, tmp_path, balanced_config, monkeypatch
+    ):
+        from identity_channel import experiments
+
+        calls = []
+        solve = experiments.solve_batch
+
+        def counted(params):
+            calls.append(len(params))
+            return solve(params)
+
+        monkeypatch.setattr(experiments, "solve_batch", counted)
+        out = tmp_path / "sweep.csv"
+        code, report = run_json(
+            capsys,
+            ["sweep", "--config", balanced_config, "--out", str(out), "--audit"],
+        )
+        assert code == EXIT_OK
+        assert calls == [21]
+
     def test_resolution_one_rejected(self, tmp_path, balanced_params):
         path = tmp_path / "c.json"
         path.write_text(

@@ -124,6 +124,21 @@ class TestClosedForm:
         result = closed_form_equilibrium(pop)
         assert result.quality == pytest.approx(4.0)
 
+    def test_boundary_point_hundreds_of_ulps_from_believed(self):
+        # Population 1152 of `verify --trials 10000 --seed 104845948`: k_B is
+        # about 173, and the b-residual of type B rounds n_A + 1 - m_A to
+        # multiples of 2.2e-16, about 255 ulps of n_A, so backing n_A off by
+        # single ulps never reached a believed point.
+        pop = make_population(
+            0.8572832905325746, 0.9943759072365624,
+            0.09368713684178509, 0.223035029367617,
+            0.0005203164989626696, 0.32615995072801907,
+            0.013527085397700755, 2.6191529035618517,
+        )
+        result = closed_form_equilibrium(pop)
+        assert believes(result.strategy, pop) == (True, True)
+        assert abs(result.quality - full_lp_oracle(pop).quality) <= 1e-9
+
     def test_equilibrium_believed(self, balanced_population, low_accuracy_population):
         for pop in (balanced_population, low_accuracy_population):
             result = closed_form_equilibrium(pop)

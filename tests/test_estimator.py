@@ -107,6 +107,19 @@ class TestEstimateK:
                     assert abs(res.k_hat - k) < delta
                 count += 1
 
+    def test_delta_below_float_spacing_stops_within_bound(self, balanced_population):
+        # The bracket cannot narrow below the float spacing near k, so a
+        # delta of 1e-20 must end the search when the midpoint stops moving.
+        oracle = GroundTruthOracle(balanced_population)
+        params = augmented_params(balanced_population)
+        M, delta = 1e4, 1e-20
+        bound = math.ceil(math.log2(M / delta)) + 1
+        for side, k in ((Group.A, params.k_A), (Group.B, params.k_B)):
+            res = estimate_k(oracle, side, delta, M)
+            assert res.steps <= bound
+            assert (res.lower + res.upper) / 2.0 in (res.lower, res.upper)
+            assert abs(res.k_hat - k) <= 2.0 * math.ulp(k)
+
 
 class TestReplayAndRecording:
     def test_roundtrip_through_csv(self, balanced_population, tmp_path):
@@ -119,6 +132,14 @@ class TestReplayAndRecording:
         second = estimate_k(replay, Group.A, 0.01, 1e4)
         assert second.k_hat == first.k_hat
         assert second.steps == first.steps
+
+    def test_replay_keys_are_exact(self):
+        n_A = 0.5
+        oracle = ReplayOracle.from_rows(
+            [(Group.A, n_A, 1.0, True), (Group.A, n_A + 1e-12, 1.0, False)]
+        )
+        assert oracle.query(Group.A, n_A, 1.0) is True
+        assert oracle.query(Group.A, n_A + 1e-12, 1.0) is False
 
     def test_replay_rejects_unknown_query(self):
         oracle = ReplayOracle.from_rows([(Group.A, 1.0, 1.0, True)])
