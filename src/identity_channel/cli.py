@@ -289,6 +289,8 @@ def _sweep_spec_from_config(config: RunConfig) -> SweepSpec:
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     spec = _sweep_spec_from_config(config)
+    if args.audit and len(spec.axes) != 1:
+        raise UsageError("--audit requires a single sweep axis")
     result = run_sweep(spec)
     try:
         write_sweep_csv(result, args.out)
@@ -305,8 +307,6 @@ def cmd_sweep(args) -> int:
     }
     exit_code = EXIT_OK
     if args.audit:
-        if len(spec.axes) != 1:
-            raise UsageError("--audit requires a single sweep axis")
         direction = expected_direction(spec.axes[0].name)
         violations = monotonicity_violations(result.records, direction)
         report["audit_direction"] = direction.value
@@ -325,15 +325,21 @@ def cmd_sweep(args) -> int:
     return exit_code
 
 
+def _simulate_int(name: str, value, minimum: int) -> int:
+    """A simulate-block count as given: a JSON integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"simulate {name!r} must be an integer, got {value!r}")
+    if value < minimum:
+        raise UsageError(f"simulate {name!r} must be >= {minimum}, got {value}")
+    return value
+
+
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     if config.simulate is None:
         raise UsageError("config is missing the 'simulate' block")
-    try:
-        N = int(config.simulate["N"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"bad simulate block: {exc}") from exc
-    seed = int(config.simulate.get("seed", args.seed))
+    N = _simulate_int("N", config.simulate.get("N"), minimum=1)
+    seed = _simulate_int("seed", config.simulate.get("seed", args.seed), minimum=0)
     result = closed_form_equilibrium(config.population)
     accuracy, std_error = monte_carlo_accuracy(
         result.strategy, config.population, N, seed
@@ -357,6 +363,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="identity-channel",
@@ -373,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--config", default=None)
     p_ver.add_argument("--trials", type=int, default=100)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
     p_ver.set_defaults(func=cmd_verify)
 
     p_est = sub.add_parser("estimate", help="bisection estimation against the config")
@@ -389,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo accuracy to CSV")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

@@ -33,6 +33,11 @@ _AUDIT_TOL = 1e-9
 #: grid size, and is large enough that per-batch overhead is negligible.
 _SWEEP_BLOCK = 4096
 
+#: Monte Carlo plays sampled per block, each block from its own random
+#: stream: bounds the sampler's working arrays whatever N is, and keeps them
+#: small enough to stay in cache.
+_MC_BLOCK = 1 << 16
+
 
 class NonBelievingReceiver(ValueError):
     """Monte Carlo accuracy requires a strategy both receiver types believe."""
@@ -187,19 +192,45 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()
 
 
+class _AxisText(dict):
+    """`_fmt` of each axis value, converted once per distinct value.
+
+    Zeros are formatted every time: 0.0 and -0.0 are one dict key but print
+    as "0" and "-0".
+    """
+
+    def __missing__(self, value: float) -> str:
+        text = _fmt(value)
+        if value:
+            self[value] = text
+        return text
+
+
 def write_sweep_csv(result: SweepResult, path) -> None:
     """Serialize a sweep, one row per computed cell, 12 significant digits.
 
-    Each row is one format string.  The case label is the only field that
-    can need CSV quoting (it may contain a comma), so each label is quoted
-    once by csv.writer; the bytes are those csv.writer would write.
+    Each row is one format string.  An axis repeats each of its values in
+    many rows, so axis values are converted to text once.  The case label is
+    the only field that can need CSV quoting (it may contain a comma), so
+    each label is quoted once by csv.writer; the bytes are those csv.writer
+    would write.
     """
     cases = {label: _csv_field(label) for label in CASE_LABELS}
-    row = "{:.12g},{},{:.12g},{:.12g},{},{:.12g},{:.12g},{:.12g}\n".format
+    axis_text = _AxisText({None: ""})
+    row = "{},{},{:.12g},{:.12g},{},{:.12g},{:.12g},{:.12g}\n".format
     with open(path, "w", newline="") as handle:
         handle.write("axis1,axis2,k_A,k_B,case,n_A,n_B,Q\n")
         handle.writelines(
-            row(r.axis1, _fmt(r.axis2), r.k_A, r.k_B, cases[r.case], r.n_A, r.n_B, r.Q)
+            row(
+                axis_text[r.axis1],
+                axis_text[r.axis2],
+                r.k_A,
+                r.k_B,
+                cases[r.case],
+                r.n_A,
+                r.n_B,
+                r.Q,
+            )
             for r in result.records
         )
 
@@ -258,6 +289,12 @@ def monte_carlo_accuracy(
     Each play draws the source uniformly, the receiver type uniformly, and
     decodes with the type's best response.  For a strategy both types
     believe, the expectation equals quality(strategy) / 4.
+
+    Plays are sampled in blocks of `_MC_BLOCK`.  Block b draws from the b-th
+    child of `np.random.SeedSequence(seed)`, so the result depends only on
+    `(N, seed)` and memory only on the block size.  A play draws its three
+    fair bits as one cell index 4 x + 2 [source is B] + [receiver is B],
+    then one uniform for the message and one for the decode.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -267,27 +304,26 @@ def monte_carlo_accuracy(
             "strategy is not believed by both receiver types "
             f"(A={bel_A}, B={bel_B}); the accuracy identity does not apply"
         )
-    br_A = best_response(strategy, population, Group.A)
-    br_B = best_response(strategy, population, Group.B)
+    br = {group: best_response(strategy, population, group) for group in Group}
+    cells = [(x, source, rcv) for x in (0, 1) for source in Group for rcv in Group]
+    p_message_a = np.array([strategy.prob_message_a(x, src) for x, src, _ in cells])
+    # Indexed by 2 cell + [message is a]: the chance the receiver decodes
+    # x = 0 (after b) or x = 1 (after a), and whether that decode is correct.
+    p_decode = np.array([p for *_, rcv in cells for p in (br[rcv].q, br[rcv].p)])
+    decode_correct = np.array([hit for x, *_ in cells for hit in (x == 0, x == 1)])
 
-    rng = np.random.default_rng(seed)
-    x = rng.integers(0, 2, N)
-    theta_is_b = rng.integers(0, 2, N).astype(bool)
-    receiver_is_b = rng.integers(0, 2, N).astype(bool)
+    root = np.random.SeedSequence(seed)
+    hits = 0
+    for start in range(0, N, _MC_BLOCK):
+        n = min(_MC_BLOCK, N - start)
+        rng = np.random.default_rng(root.spawn(1)[0])
+        cell = rng.integers(0, 8, n, dtype=np.uint8)
+        u_message, u_decode = rng.random((2, n))
+        index = (cell << 1) | (u_message < p_message_a.take(cell))
+        correct = (u_decode < p_decode.take(index)) == decode_correct.take(index)
+        hits += int(np.count_nonzero(correct))
 
-    p_msg_a = np.where(
-        x == 1,
-        np.where(theta_is_b, strategy.m_B, strategy.m_A),
-        np.where(theta_is_b, 1.0 - strategy.n_B, 1.0 - strategy.n_A),
-    )
-    msg_is_a = rng.random(N) < p_msg_a
-
-    p = np.where(receiver_is_b, br_B.p, br_A.p)
-    q = np.where(receiver_is_b, br_B.q, br_A.q)
-    u = rng.random(N)
-    x_hat = np.where(msg_is_a, (u < p).astype(int), 1 - (u < q).astype(int))
-
-    accuracy = float(np.mean(x_hat == x))
+    accuracy = hits / N
     std_error = math.sqrt(max(accuracy * (1.0 - accuracy), 0.0) / N)
     return accuracy, std_error
 

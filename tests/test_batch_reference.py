@@ -191,6 +191,10 @@ GRIDS = {
     "restriction-1d": (
         {}, [("delta_I_A", 0.0, 4.0, 5)], False, {"AssumptionViolated", "1-D"},
     ),
+    "signed-zero-axis": (
+        {}, [("lambda_s_A", 0.0, -0.0, 3), ("lambda_a_A", 0.5, 1.0, 3)], False,
+        {"-0"},
+    ),
     "several-blocks": (
         {}, [("delta_O_A", 0.0, 6.0, 81), ("delta_O_B", 0.0, 6.0, 61)], False,
         {"several blocks", "AssumptionViolated"},
@@ -214,6 +218,8 @@ def test_sweep_matches_reference(name, tmp_path):
     seen = reasons | {rec.case for rec in result.records}
     if any(rec.k_A == math.inf for rec in result.records):
         seen.add("inf")
+    if any(str(rec.axis1) == "-0.0" for rec in result.records):
+        seen.add("-0")
     if len(axes) == 1:
         seen.add("1-D")
     if len(result.records) + len(result.skipped) > _SWEEP_BLOCK:

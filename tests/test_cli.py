@@ -116,6 +116,10 @@ class TestVerifyCommand:
     def test_zero_trials_usage_error(self):
         assert main(["verify", "--trials", "0"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("seed", ["-1", "2.5"])
+    def test_bad_seed_usage_error(self, seed):
+        assert main(["verify", "--trials", "1", "--seed", seed]) == EXIT_USAGE
+
 
 class TestEstimateCommand:
     def test_example_report(self, capsys, balanced_config):
@@ -194,6 +198,22 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert calls == [21]
 
+    def test_audit_of_two_axes_rejected_before_the_sweep(
+        self, tmp_path, balanced_params
+    ):
+        path = tmp_path / "c.json"
+        axes = [
+            {"name": name, "lo": 0.1, "hi": 0.9, "resolution": 3}
+            for name in ("lambda_s_A", "lambda_a_A")
+        ]
+        path.write_text(
+            json.dumps({"population": balanced_params, "sweep": {"axes": axes}})
+        )
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", str(path), "--out", str(out), "--audit"])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
     def test_resolution_one_rejected(self, tmp_path, balanced_params):
         path = tmp_path / "c.json"
         path.write_text(
@@ -240,6 +260,33 @@ class TestSimulateCommand:
             outs.append(out.read_bytes())
         capsys.readouterr()
         assert outs[0] == outs[1]
+
+    BAD_BLOCKS = {
+        "N-zero": {"N": 0},
+        "N-negative": {"N": -5},
+        "N-fraction": {"N": 2.7},
+        "N-float": {"N": 1e3},
+        "N-bool": {"N": True},
+        "N-string": {"N": "100"},
+        "N-missing": {"seed": 3},
+        "seed-negative": {"N": 100, "seed": -1},
+        "seed-fraction": {"N": 100, "seed": 2.5},
+        "seed-bool": {"N": 100, "seed": False},
+    }
+
+    @pytest.mark.parametrize("block", BAD_BLOCKS.values(), ids=BAD_BLOCKS.keys())
+    def test_bad_block_usage_error(self, tmp_path, balanced_params, block):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"population": balanced_params, "simulate": block}))
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+    def test_negative_seed_flag_usage_error(self, tmp_path, balanced_config):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--config", balanced_config, "--out", str(out)]
+        assert main(argv + ["--seed", "-1"]) == EXIT_USAGE
 
 
 class TestUsage:
