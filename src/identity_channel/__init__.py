@@ -10,8 +10,6 @@ from .equilibrium import (
     check_equivalence,
     closed_form_equilibrium,
     full_lp_oracle,
-    lower_bound_check,
-    reduced_lp_feasible,
     solve_batch,
 )
 from .estimator import (
@@ -41,19 +39,14 @@ from .experiments import (
 )
 from .model import (
     PARAM_NAMES,
-    ChannelOutcome,
     Group,
     IdentityProfile,
-    Message,
     Population,
     ReceiverStrategy,
     SenderStrategy,
-    SourcePrior,
-    SourceState,
     population_from_params,
     population_params,
     quality,
-    sample_play,
 )
 from .receiver import BeliefResiduals, belief_residuals, believes, best_response
 

@@ -21,6 +21,7 @@ from .equilibrium import (
     check_equivalence,
     closed_form_equilibrium,
     compare_on,
+    require_restricted,
 )
 from .estimator import (
     DEFAULT_SEARCH_BOUND,
@@ -227,7 +228,8 @@ def cmd_estimate(args) -> int:
         raise UsageError("config is missing the 'estimator' block")
     delta = float(config.estimator.get("delta", 0.0))
     M = float(config.estimator.get("M", DEFAULT_SEARCH_BOUND))
-    # Validate before querying so assumption checks see a sane oracle.
+    # Bisection announces m_A = m_B = 1, optimal only under the restriction.
+    require_restricted(config.population)
     oracle = GroundTruthOracle(config.population)
     res_A = estimate_k(oracle, Group.A, delta, M)
     res_B = estimate_k(oracle, Group.B, delta, M)

@@ -68,7 +68,6 @@ class EquilibriumResult:
 class LpSolution:
     strategy: SenderStrategy
     quality: float
-    active_set: tuple[str, ...]
 
 
 def _augmented(params):
@@ -95,32 +94,6 @@ def augmented_params(population: Population) -> AugmentedParams:
                 f"receiver type {group.value} has zero accuracy and identity weights"
             )
     return AugmentedParams(k_A=float(ks[0]), k_B=float(ks[1]))
-
-
-def reduced_lp_feasible(
-    n_A: float, n_B: float, population: Population
-) -> tuple[bool, bool]:
-    """Per-type belief feasibility of (n_A, n_B) with m_A = m_B = 1.
-
-    Evaluates the two constraints directly with an exact >= 0 comparison;
-    equivalent to the ratio band k_B <= n_B/n_A <= k_A where that band is
-    well defined.
-    """
-    if not (0.0 <= n_A <= 1.0 and 0.0 <= n_B <= 1.0):
-        raise ValueError(f"n_A, n_B must lie in [0, 1], got ({n_A!r}, {n_B!r})")
-    pa = population.profile_A
-    pb = population.profile_B
-    ok_A = (
-        n_A * (pa.identity_weight * pa.in_group_penalty + pa.accuracy_weight)
-        + n_B * (pa.accuracy_weight - pa.identity_weight * pa.out_group_penalty)
-        >= 0.0
-    )
-    ok_B = (
-        n_B * (pb.identity_weight * pb.in_group_penalty + pb.accuracy_weight)
-        + n_A * (pb.accuracy_weight - pb.identity_weight * pb.out_group_penalty)
-        >= 0.0
-    )
-    return ok_A, ok_B
 
 
 #: Nudge iterations; the step doubles each time, so 64 reach any coordinate.
@@ -242,24 +215,40 @@ def _params_rows(populations) -> np.ndarray:
     return np.array([list(population_params(p).values()) for p in populations])
 
 
+def require_restricted(population: Population) -> None:
+    """Raise AssumptionViolated unless both types satisfy the restriction.
+
+    The restriction (out-group penalty at least the in-group penalty) makes
+    m_A = m_B = 1 optimal, which the closed form and the estimator's
+    bisection both take for granted.
+    """
+    for group in Group:
+        if not population.profile(group).restricted:
+            raise AssumptionViolated(
+                f"receiver type {group.value} has in_group_penalty > "
+                "out_group_penalty; the closed form and the estimator "
+                "do not apply"
+            )
+
+
 def closed_form_equilibrium(population: Population) -> EquilibriumResult:
     """Analytic equilibrium encoding under the penalty-ordering restriction.
 
     The one-population case of `solve_batch`: always reports m_A = m_B = 1,
     with (n_A, n_B) from the case table on (k_A, k_B).
     """
-    for group in Group:
-        if not population.profile(group).restricted:
-            raise AssumptionViolated(
-                f"receiver type {group.value} has in_group_penalty > "
-                "out_group_penalty; the closed form does not apply"
-            )
+    require_restricted(population)
     augmented_params(population)  # raises for a receiver with no weights
     return solve_batch(_params_rows([population])).result(0)
 
 
 def _constraint_rows(population: Population) -> tuple[np.ndarray, np.ndarray]:
-    """Affine belief constraints G z + c >= 0 over z = (m_A, m_B, n_A, n_B)."""
+    """Affine belief constraints G z + c >= 0 over z = (m_A, m_B, n_A, n_B).
+
+    A type's a-message and b-message constraints share one gradient, and
+    their constants differ by 2 ls (dO - dI), so the type believes iff the
+    one with the smaller constant holds: one row per type.
+    """
     pa = population.profile_A
     pb = population.profile_B
     la_A, ls_A = pa.accuracy_weight, pa.identity_weight
@@ -271,29 +260,28 @@ def _constraint_rows(population: Population) -> tuple[np.ndarray, np.ndarray]:
              la_A - ls_A * dO_A]
     row_B = [la_B + ls_B * dO_B, la_B - ls_B * dI_B, la_B - ls_B * dO_B,
              la_B + ls_B * dI_B]
-    G = np.array([row_A, row_A, row_B, row_B], dtype=float)
+    G = np.array([row_A, row_B], dtype=float)
     c = np.array(
         [
-            ls_A * (dO_A - dI_A) - 2.0 * la_A,
-            ls_A * (dI_A - dO_A) - 2.0 * la_A,
-            ls_B * (dO_B - dI_B) - 2.0 * la_B,
-            ls_B * (dI_B - dO_B) - 2.0 * la_B,
+            -ls_A * abs(dO_A - dI_A) - 2.0 * la_A,
+            -ls_B * abs(dO_B - dI_B) - 2.0 * la_B,
         ],
         dtype=float,
     )
     return G, c
 
 
-_VAR_NAMES = ("m_A", "m_B", "n_A", "n_B")
-_CONSTRAINT_NAMES = (
-    "g_A_a=0",
-    "g_A_b=0",
-    "g_B_a=0",
-    "g_B_b=0",
-    *(f"{v}=0" for v in _VAR_NAMES),
-    *(f"{v}=1" for v in _VAR_NAMES),
+#: Four active rows out of the two belief rows, the faces z_i = 0 (rows
+#: 2..5) and the faces z_i = 1 (rows 6..9), never both faces of one
+#: coordinate: the 104 systems that are not singular by construction.
+_ACTIVE_COMBOS = np.array(
+    [
+        combo
+        for combo in itertools.combinations(range(10), 4)
+        if not any(2 + i in combo and 6 + i in combo for i in range(4))
+    ],
+    dtype=int,
 )
-_ACTIVE_COMBOS = np.array(list(itertools.combinations(range(12), 4)), dtype=int)
 
 _FEAS_TOL = 1e-9
 
@@ -301,12 +289,12 @@ _FEAS_TOL = 1e-9
 def full_lp_oracle(population: Population) -> LpSolution:
     """Maximize quality over all encodings both receiver types believe.
 
-    Enumerates every choice of four active constraints out of the four
-    belief hyperplanes and eight box faces (495 systems), solves the
-    nondegenerate ones, filters by feasibility at tolerance 1e-9, and
-    returns the maximal-quality vertex (lexicographically smallest strategy
-    on exact quality ties).  Deliberately shares no code with the closed
-    form.
+    Enumerates every choice of four active constraints out of the two
+    belief hyperplanes and eight box faces that never takes both faces of
+    one coordinate (104 systems), solves the nondegenerate ones, filters
+    by feasibility at tolerance 1e-9, and returns the maximal-quality
+    vertex (lexicographically smallest strategy on exact quality ties).
+    Deliberately shares no code with the closed form.
     """
     G, c = _constraint_rows(population)
     rows = np.vstack([G, np.eye(4), np.eye(4)])
@@ -322,7 +310,6 @@ def full_lp_oracle(population: Population) -> LpSolution:
         raise NoFeasibleEncoding("all candidate systems are degenerate")
 
     z = np.linalg.solve(A[solvable], b[solvable][..., None])[..., 0]
-    combos = _ACTIVE_COMBOS[solvable]
 
     in_box = ((z >= -_FEAS_TOL) & (z <= 1.0 + _FEAS_TOL)).all(axis=1)
     residuals = z @ G.T + c
@@ -331,21 +318,11 @@ def full_lp_oracle(population: Population) -> LpSolution:
         raise NoFeasibleEncoding("no vertex satisfies the belief constraints")
 
     z = np.clip(z[feasible], 0.0, 1.0)
-    combos = combos[feasible]
     q = z.sum(axis=1)
     order = np.lexsort((z[:, 3], z[:, 2], z[:, 1], z[:, 0], -q))
     best = order[0]
     strategy = SenderStrategy(*(float(v) for v in z[best]))
-    return LpSolution(
-        strategy=strategy,
-        quality=quality(strategy),
-        active_set=tuple(_CONSTRAINT_NAMES[i] for i in combos[best]),
-    )
-
-
-def lower_bound_check(result: EquilibriumResult | LpSolution) -> bool:
-    """Every equilibrium keeps at least half of the information quality."""
-    return result.quality >= 2.0 - 1e-12
+    return LpSolution(strategy=strategy, quality=quality(strategy))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol
 
-from .equilibrium import reduced_lp_feasible
 from .model import Group, Population, SenderStrategy
+from .receiver import believes
 
 #: Default search upper bound for the augmented parameters.
 DEFAULT_SEARCH_BOUND = 1.0e4
@@ -44,17 +44,13 @@ class BelieveOracle(Protocol):
 
 @dataclass(frozen=True)
 class GroundTruthOracle:
-    """Oracle answering directly from a known population's constraints."""
+    """Oracle answering from a known population's belief constraints."""
 
     population: Population
 
     def query(self, side: Group, n_A: float, n_B: float) -> bool:
-        ok_A, ok_B = reduced_lp_feasible(n_A, n_B, self.population)
+        ok_A, ok_B = believes((1.0, 1.0, n_A, n_B), self.population)
         return ok_A if side is Group.A else ok_B
-
-
-def ground_truth_oracle(population: Population) -> GroundTruthOracle:
-    return GroundTruthOracle(population)
 
 
 @dataclass(frozen=True)

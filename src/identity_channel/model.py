@@ -14,10 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
-_PROB_TOL = 1e-12
-
 #: Canonical parameter names for a two-type population, used by config files
 #: and parameter sweeps.
 PARAM_NAMES = (
@@ -43,61 +39,9 @@ class Group(str, enum.Enum):
         return Group.B if self is Group.A else Group.A
 
 
-class Message(str, enum.Enum):
-    """The sender's boolean message alphabet."""
-
-    a = "a"
-    b = "b"
-
-
 def _check_prob(value: float, name: str) -> None:
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
-
-
-@dataclass(frozen=True)
-class SourceState:
-    """One realization of the source: a boolean state and a group type."""
-
-    state: int
-    source_type: Group
-
-    def __post_init__(self) -> None:
-        if self.state not in (0, 1):
-            raise ValueError(f"state must be 0 or 1, got {self.state!r}")
-        if not isinstance(self.source_type, Group):
-            raise ValueError(f"source_type must be a Group, got {self.source_type!r}")
-
-
-@dataclass(frozen=True)
-class SourcePrior:
-    """Joint distribution over (state, type).
-
-    Only the uniform prior is supported; the class exists to make that
-    assumption explicit and checkable.  Entries are validated to sum to one
-    and to each equal 1/4 within 1e-12.
-    """
-
-    joint: Mapping[tuple[int, Group], float]
-
-    def __post_init__(self) -> None:
-        expected_keys = {(x, g) for x in (0, 1) for g in Group}
-        if set(self.joint) != expected_keys:
-            raise ValueError("prior must have exactly the four (state, type) entries")
-        total = 0.0
-        for key, p in self.joint.items():
-            _check_prob(p, f"prior entry {key}")
-            if abs(p - 0.25) > _PROB_TOL:
-                raise ValueError(
-                    f"only the uniform prior is supported; entry {key} is {p!r}"
-                )
-            total += p
-        if abs(total - 1.0) > _PROB_TOL:
-            raise ValueError(f"prior entries sum to {total!r}, expected 1")
-
-    @classmethod
-    def uniform(cls) -> "SourcePrior":
-        return cls({(x, g): 0.25 for x in (0, 1) for g in Group})
 
 
 @dataclass(frozen=True)
@@ -223,16 +167,6 @@ class ReceiverStrategy:
         _check_prob(self.q, "q")
 
 
-@dataclass(frozen=True)
-class ChannelOutcome:
-    """A complete sampled play of the channel."""
-
-    x: int
-    theta: Group
-    y: Message
-    x_hat: int
-
-
 def accuracy_utility(x: int, x_hat: int) -> float:
     """1 when the estimate matches the true state, else 0."""
     return 1.0 if x == x_hat else 0.0
@@ -253,15 +187,6 @@ def identity_utility(
     return 0.0
 
 
-def economic_utility(x: float) -> float:
-    """1 when the true state is 0, else 0.
-
-    Depends only on the realized state, never on any strategy, so it plays
-    no role in equilibrium computations.
-    """
-    return 1.0 if x == 0 else 0.0
-
-
 def receiver_utility(
     x: int, x_hat: int, theta: Group, theta_bar: Group, profile: IdentityProfile
 ) -> float:
@@ -271,23 +196,6 @@ def receiver_utility(
     ) + profile.identity_weight * identity_utility(x_hat, theta, theta_bar, profile)
 
 
-def sender_utility(
-    x: int, x_hat: int, decode_A: ReceiverStrategy, decode_B: ReceiverStrategy
-) -> float:
-    """Accuracy payoff, gated on every receiver strictly believing.
-
-    The sender earns the accuracy indicator only when both receiver types
-    decode both messages at face value with probability above one half;
-    otherwise the receiver is taken to have unsubscribed and the payoff is 0.
-    """
-    subscribed = (
-        decode_A.p > 0.5 and decode_B.p > 0.5 and decode_A.q > 0.5 and decode_B.q > 0.5
-    )
-    if not subscribed:
-        return 0.0
-    return accuracy_utility(x, x_hat)
-
-
 def quality(strategy: SenderStrategy) -> float:
     """Quality of information: the sum of the four truthful probabilities.
 
@@ -295,28 +203,3 @@ def quality(strategy: SenderStrategy) -> float:
     is perfectly recoverable.
     """
     return strategy.m_A + strategy.m_B + strategy.n_A + strategy.n_B
-
-
-def sample_play(
-    prior: SourcePrior,
-    strategy: SenderStrategy,
-    decode_A: ReceiverStrategy,
-    decode_B: ReceiverStrategy,
-    theta_bar: Group,
-    rng: np.random.Generator,
-) -> ChannelOutcome:
-    """Sample one end-to-end play of the channel, deterministic given rng state."""
-    states = sorted(prior.joint, key=lambda k: (k[0], k[1].value))
-    probs = [prior.joint[k] for k in states]
-    idx = rng.choice(len(states), p=probs)
-    x, theta = states[idx]
-
-    p_a = strategy.prob_message_a(x, theta)
-    y = Message.a if rng.random() < p_a else Message.b
-
-    decoder = decode_A if theta_bar is Group.A else decode_B
-    if y is Message.a:
-        x_hat = 1 if rng.random() < decoder.p else 0
-    else:
-        x_hat = 0 if rng.random() < decoder.q else 1
-    return ChannelOutcome(x=x, theta=theta, y=y, x_hat=x_hat)

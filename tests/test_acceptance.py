@@ -1,8 +1,9 @@
 """Acceptance checks: eight end-to-end criteria at their stated tolerances.
 
-Each test evaluates exactly one criterion and prints a single
+Each criterion test evaluates exactly one criterion and prints a single
 "CRITERION n: PASS/FAIL" line before asserting, so a verbose run reads as
-a checklist.  Failing criteria reflect genuine gaps between the model's
+a checklist.  One further test checks analytically what criterion 5's
+delta_O_B audit meets instead of its expectation.  Failing criteria reflect genuine gaps between the model's
 behavior and the written expectation; the assertions are not weakened to
 hide them (see the repository README for the known failures).
 """
@@ -181,6 +182,21 @@ class TestAcceptance:
             f"cell(la=0.9,ls=0.1) Q={spot.Q:.4f} (want 4), "
             f"cell(la=0.55,ls=0.45) Q={balanced_cell.Q:.6f}",
         )
+
+    def test_quality_falls_with_delta_O_B_analytically(self, balanced_population):
+        # What criterion 5's delta_O_B audit meets instead of its expectation:
+        # raising delta_O_B raises k_B, and in case k_A>k_B>1 the optimum is
+        # (1, 1, 1/k_B, 1), so Q = 3 + 1/k_B falls.  Not a criterion.
+        spec = SweepSpec(
+            base=balanced_population, axes=(SweepAxis("delta_O_B", 1.0, 3.5, 201),)
+        )
+        records = run_sweep(spec).records
+        banded = [rec for rec in records if rec.case == "k_A>k_B>1"]
+        assert banded
+        for rec in banded:
+            assert abs(rec.Q - (3.0 + 1.0 / rec.k_B)) <= 1e-12
+        assert len(records) == 201
+        assert all(b.Q <= a.Q for a, b in zip(records, records[1:]))
 
     def test_criterion_7_monte_carlo_identity(self, balanced_population):
         result = closed_form_equilibrium(balanced_population)

@@ -156,6 +156,34 @@ class TestEstimateCommand:
         )
         assert main(["estimate", "--config", str(path)]) == EXIT_DOMAIN_ERROR
 
+    def test_unrestricted_population_exits_2(
+        self, capsys, monkeypatch, tmp_path, balanced_params
+    ):
+        # Type A has delta_I > delta_O.  Bisection takes m_A = m_B = 1 for
+        # granted, and the strategy it synthesizes here (Q = 3.972) is one
+        # type A rejects, so the command must refuse before any query.
+        from identity_channel.estimator import GroundTruthOracle
+
+        def no_query(*args):
+            raise AssertionError("queried an unrestricted population")
+
+        monkeypatch.setattr(GroundTruthOracle, "query", no_query)
+        params = dict(
+            balanced_params,
+            lambda_a_A=0.1,
+            lambda_s_A=1.0,
+            delta_I_A=3.0,
+            delta_O_A=1.0,
+        )
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps({"population": params, "estimator": {"delta": 0.01}})
+        )
+        assert main(["estimate", "--config", str(path)]) == EXIT_DOMAIN_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "type A" in captured.err
+
 
 class TestSweepCommand:
     def test_sweep_writes_csv(self, capsys, tmp_path, balanced_config):

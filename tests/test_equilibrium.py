@@ -8,17 +8,16 @@ import pytest
 from identity_channel.equilibrium import (
     AssumptionViolated,
     IndeterminateParams,
+    NoFeasibleEncoding,
     augmented_params,
     check_equivalence,
     closed_form_equilibrium,
     compare_on,
     full_lp_oracle,
-    lower_bound_check,
     random_restricted_population,
-    reduced_lp_feasible,
 )
 from identity_channel.model import IdentityProfile, Population
-from identity_channel.receiver import believes
+from identity_channel.receiver import belief_residuals, believes
 
 
 def make_population(la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B):
@@ -50,22 +49,6 @@ class TestAugmentedParams:
         pop = make_population(0.0, 0.0, 1, 2, 0.5, 0.45, 1, 3.5)
         with pytest.raises(IndeterminateParams):
             augmented_params(pop)
-
-
-class TestReducedLpFeasible:
-    def test_origin_always_feasible(self, balanced_population, low_accuracy_population):
-        for pop in (balanced_population, low_accuracy_population):
-            assert reduced_lp_feasible(0.0, 0.0, pop) == (True, True)
-
-    def test_truth_infeasible_for_B(self, balanced_population):
-        assert reduced_lp_feasible(1.0, 1.0, balanced_population) == (True, False)
-
-    def test_band_edge(self, balanced_population):
-        assert reduced_lp_feasible(0.9756, 1.0, balanced_population) == (True, True)
-
-    def test_out_of_range_rejected(self, balanced_population):
-        with pytest.raises(ValueError):
-            reduced_lp_feasible(1.5, 0.0, balanced_population)
 
 
 class TestClosedForm:
@@ -165,9 +148,34 @@ class TestLpOracle:
         assert 0.0 <= lp.quality <= 4.0
         assert believes(lp.strategy, pop) == (True, True)
 
-    def test_lower_bound_check(self, balanced_population):
-        assert lower_bound_check(closed_form_equilibrium(balanced_population))
-        assert lower_bound_check(full_lp_oracle(balanced_population))
+    def test_matches_highs_on_unrestricted_populations(self):
+        # HiGHS solves the LP written from the four residuals of
+        # `belief_residuals`, not from the oracle's one row per type.
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(20240824)
+        basis = tuple(np.vstack([np.zeros(4), np.eye(4)]).T)
+        infeasible = 0
+        for _ in range(300):
+            weights = rng.random((2, 2)).tolist()
+            penalties = (3.0 * rng.random((2, 2))).tolist()
+            pop = make_population(
+                *weights[0], *penalties[0], *weights[1], *penalties[1]
+            )
+            res = belief_residuals(basis, pop)
+            g = np.array([res.g_A_a, res.g_A_b, res.g_B_a, res.g_B_b])
+            c, G = g[:, 0], g[:, 1:] - g[:, :1]
+            highs = optimize.linprog(
+                -np.ones(4), A_ub=-G, b_ub=c, bounds=[(0.0, 1.0)] * 4,
+                method="highs",
+            )
+            assert highs.status in (0, 2), highs.message
+            if highs.status == 2:
+                infeasible += 1
+                with pytest.raises(NoFeasibleEncoding):
+                    full_lp_oracle(pop)
+            else:
+                assert abs(full_lp_oracle(pop).quality + highs.fun) <= 1e-9
+        assert 0 < infeasible < 300
 
 
 class TestEquivalence:

@@ -19,7 +19,6 @@ from identity_channel.estimator import (
     ReplayOracle,
     certified_estimates,
     estimate_k,
-    ground_truth_oracle,
     strategy_from_estimates,
 )
 from identity_channel.model import Group, SenderStrategy, quality
@@ -28,11 +27,30 @@ from identity_channel.receiver import believes
 
 class TestGroundTruthOracle:
     def test_examples(self, balanced_population):
-        oracle = ground_truth_oracle(balanced_population)
+        oracle = GroundTruthOracle(balanced_population)
         assert oracle.query(Group.A, 1.0, 1.0) is True
         assert oracle.query(Group.B, 1.0, 0.9) is False
         assert oracle.query(Group.A, 0.0, 0.0) is True
         assert oracle.query(Group.B, 0.0, 0.0) is True
+
+    @staticmethod
+    def answers(population, n_A, n_B):
+        oracle = GroundTruthOracle(population)
+        return oracle.query(Group.A, n_A, n_B), oracle.query(Group.B, n_A, n_B)
+
+    def test_origin_always_believed(
+        self, balanced_population, low_accuracy_population
+    ):
+        for pop in (balanced_population, low_accuracy_population):
+            assert self.answers(pop, 0.0, 0.0) == (True, True)
+
+    def test_truth_rejected_by_B(self, balanced_population):
+        assert self.answers(balanced_population, 1.0, 1.0) == (True, False)
+
+    def test_band_edge(self, balanced_population):
+        # n_A = 0.9756 is just below 1/k_B = 0.97561, so n_B/n_A lies just
+        # above k_B = 1.025 and below k_A = 2.857: inside both bands.
+        assert self.answers(balanced_population, 0.9756, 1.0) == (True, True)
 
 
 class TestEstimateK:

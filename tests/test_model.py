@@ -2,29 +2,21 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from identity_channel.model import (
-    ChannelOutcome,
     Group,
     IdentityProfile,
-    Message,
     Population,
     ReceiverStrategy,
     SenderStrategy,
-    SourcePrior,
-    SourceState,
     accuracy_utility,
-    economic_utility,
     identity_utility,
     population_from_params,
     population_params,
     quality,
     receiver_utility,
-    sample_play,
-    sender_utility,
 )
 
 probs = st.floats(0.0, 1.0, allow_nan=False)
@@ -40,29 +32,6 @@ def make_profile(la=0.55, ls=0.45, dI=1.0, dO=2.0):
 
 
 class TestTypes:
-    def test_source_state_validation(self):
-        SourceState(state=1, source_type=Group.A)
-        with pytest.raises(ValueError):
-            SourceState(state=2, source_type=Group.A)
-        with pytest.raises(ValueError):
-            SourceState(state=1, source_type="A")
-
-    def test_uniform_prior(self):
-        prior = SourcePrior.uniform()
-        assert sum(prior.joint.values()) == pytest.approx(1.0, abs=1e-12)
-        assert all(v == 0.25 for v in prior.joint.values())
-
-    def test_nonuniform_prior_rejected(self):
-        with pytest.raises(ValueError):
-            SourcePrior(
-                {
-                    (0, Group.A): 0.5,
-                    (0, Group.B): 0.5,
-                    (1, Group.A): 0.0,
-                    (1, Group.B): 0.0,
-                }
-            )
-
     def test_profile_rejects_negative(self):
         with pytest.raises(ValueError):
             make_profile(la=-0.1)
@@ -114,10 +83,6 @@ class TestUtilities:
         assert identity_utility(1, Group.B, Group.A, profile) == 0.0
         assert identity_utility(0, Group.A, Group.A, profile) == 0.0
 
-    def test_economic_utility(self):
-        assert economic_utility(0) == 1.0
-        assert economic_utility(1) == 0.0
-
     def test_receiver_utility_values(self):
         profile = make_profile()
         assert receiver_utility(1, 1, Group.A, Group.A, profile) == pytest.approx(0.10)
@@ -130,16 +95,6 @@ class TestUtilities:
                 assert receiver_utility(
                     x, x_hat, Group.A, Group.A, profile
                 ) == 0.55 * accuracy_utility(x, x_hat)
-
-    def test_sender_utility_gate(self):
-        believe = ReceiverStrategy(1.0, 1.0)
-        skeptic = ReceiverStrategy(0.4, 1.0)
-        assert sender_utility(1, 1, believe, believe) == 1.0
-        assert sender_utility(1, 1, skeptic, believe) == 0.0
-        assert sender_utility(1, 0, believe, believe) == 0.0
-        # The gate is strict: exactly one half does not count as believing.
-        half = ReceiverStrategy(0.5, 1.0)
-        assert sender_utility(1, 1, half, believe) == 0.0
 
     def test_quality_examples(self):
         assert quality(SenderStrategy(1, 1, 1, 1)) == 4.0
@@ -165,57 +120,3 @@ class TestUtilities:
         )
         assert diff == pytest.approx(la * accuracy_utility(x, x_hat))
 
-
-class TestSamplePlay:
-    def test_truthful_channel_is_noiseless(self):
-        rng = np.random.default_rng(0)
-        strat = SenderStrategy(1, 1, 1, 1)
-        believe = ReceiverStrategy(1.0, 1.0)
-        for _ in range(200):
-            out = sample_play(
-                SourcePrior.uniform(), strat, believe, believe, Group.A, rng
-            )
-            assert out.x_hat == out.x
-
-    def test_silent_on_bad_news(self):
-        rng = np.random.default_rng(1)
-        strat = SenderStrategy(1, 1, 0, 0)
-        believe = ReceiverStrategy(1.0, 1.0)
-        for _ in range(200):
-            out = sample_play(
-                SourcePrior.uniform(), strat, believe, believe, Group.B, rng
-            )
-            assert out.y is Message.a
-            assert out.x_hat == 1
-
-    def test_deterministic_given_seed(self):
-        strat = SenderStrategy(0.7, 0.3, 0.6, 0.2)
-        decode = ReceiverStrategy(0.9, 0.8)
-        runs = []
-        for _ in range(2):
-            rng = np.random.default_rng(42)
-            runs.append(
-                [
-                    sample_play(
-                        SourcePrior.uniform(), strat, decode, decode, Group.A, rng
-                    )
-                    for _ in range(50)
-                ]
-            )
-        assert runs[0] == runs[1]
-
-    def test_outcome_fields(self):
-        rng = np.random.default_rng(2)
-        out = sample_play(
-            SourcePrior.uniform(),
-            SenderStrategy(1, 1, 1, 1),
-            ReceiverStrategy(1, 1),
-            ReceiverStrategy(1, 1),
-            Group.A,
-            rng,
-        )
-        assert isinstance(out, ChannelOutcome)
-        assert out.x in (0, 1)
-        assert out.theta in (Group.A, Group.B)
-        assert out.y in (Message.a, Message.b)
-        assert out.x_hat in (0, 1)
