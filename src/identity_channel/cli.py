@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .equilibrium import (
     AssumptionViolated,
     IndeterminateParams,
+    NoFeasibleEncoding,
     check_equivalence,
     closed_form_equilibrium,
     compare_on,
@@ -299,18 +300,18 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
-    qualities = [rec.Q for rec in result.records]
+    solved = len(result.Q) > 0
     report = {
-        "rows": len(result.records),
+        "rows": len(result.Q),
         "skipped": len(result.skipped),
-        "min_Q": _round12(min(qualities)) if qualities else None,
-        "max_Q": _round12(max(qualities)) if qualities else None,
+        "min_Q": _round12(result.Q.min()) if solved else None,
+        "max_Q": _round12(result.Q.max()) if solved else None,
         "out": args.out,
     }
     exit_code = EXIT_OK
     if args.audit:
         direction = expected_direction(spec.axes[0].name)
-        violations = monotonicity_violations(result.records, direction)
+        violations = monotonicity_violations(result, direction)
         report["audit_direction"] = direction.value
         report["audit_violations"] = [
             {
@@ -422,6 +423,7 @@ def main(argv=None) -> int:
         AssumptionViolated,
         IndeterminateParams,
         InvalidResolution,
+        NoFeasibleEncoding,
         NonBelievingReceiver,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .model import (
     SenderStrategy,
     population_params,
 )
-from .receiver import believes, best_response
+from .receiver import believes
 
 _AUDIT_TOL = 1e-9
 
@@ -112,76 +113,69 @@ class SweepSpec:
         if len({axis.name for axis in self.axes}) != len(self.axes):
             raise ValueError("sweep axes must be distinct")
 
-
-@dataclass(frozen=True)
-class SweepRecord:
-    axis1: float
-    axis2: float | None
-    k_A: float
-    k_B: float
-    case: str
-    n_A: float
-    n_B: float
-    Q: float
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(axis.resolution for axis in self.axes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep's solved cells as columns, in row-major grid order.
+
+    `solved` and `skipped` are flat row-major positions in the grid of
+    `spec` (see `coordinates`).  The other arrays hold one entry per solved
+    cell, aligned with `solved`; `case` indexes `CASE_LABELS`.  Every encoding
+    has m_A = m_B = 1.
+    """
+
     spec: SweepSpec
-    records: tuple[SweepRecord, ...]
-    skipped: tuple[tuple[float, float | None], ...]
+    solved: np.ndarray
+    skipped: np.ndarray
+    k_A: np.ndarray
+    k_B: np.ndarray
+    case: np.ndarray
+    n_A: np.ndarray
+    n_B: np.ndarray
+    Q: np.ndarray
+
+    def coordinates(self, positions: np.ndarray) -> list[np.ndarray]:
+        """Axis values at flat grid `positions`, one array per axis."""
+        index = np.unravel_index(positions, self.spec.shape)
+        return [axis.values()[i] for axis, i in zip(self.spec.axes, index)]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the closed-form equilibrium on every grid cell, row-major.
 
     Cells are solved in blocks of at most `_SWEEP_BLOCK` by the batch
-    solver.  Cells whose parameters are invalid (e.g. a negative simplex
-    complement), that violate the penalty-ordering restriction, or whose
-    swept receiver has all weights zero are skipped and reported separately.
+    solver, and each block's solved cells are appended to the result's
+    columns, so the result holds about 56 bytes per solved cell and 8 per
+    skipped one.  Cells whose parameters are invalid (e.g. a negative
+    simplex complement), that violate the penalty-ordering restriction, or
+    whose swept receiver has all weights zero are skipped and reported by
+    grid position.
     """
     axis_values = [axis.values() for axis in spec.axes]
-    shape = tuple(len(values) for values in axis_values)
-    cells = math.prod(shape)
+    cells = math.prod(spec.shape)
     base = np.array(list(population_params(spec.base).values()))
 
-    records: list[SweepRecord] = []
-    skipped: list[tuple[float, float | None]] = []
+    blocks = []
     for start in range(0, cells, _SWEEP_BLOCK):
-        index = np.unravel_index(
-            np.arange(start, min(start + _SWEEP_BLOCK, cells)), shape
-        )
-        coords = [values[i] for values, i in zip(axis_values, index)]
-        params = np.repeat(base[:, None], len(coords[0]), axis=1)
-        for axis, values in zip(spec.axes, coords):
-            params[PARAM_NAMES.index(axis.name)] = values
+        position = np.arange(start, min(start + _SWEEP_BLOCK, cells))
+        index = np.unravel_index(position, spec.shape)
+        params = np.repeat(base[:, None], len(position), axis=1)
+        for axis, values, i in zip(spec.axes, axis_values, index):
+            params[PARAM_NAMES.index(axis.name)] = values[i]
             if spec.simplex_constrained and axis.name in _COMPLEMENT:
-                params[PARAM_NAMES.index(_COMPLEMENT[axis.name])] = 1.0 - values
-        if len(coords) == 1:
-            coords.append(np.full(len(coords[0]), None))
+                params[PARAM_NAMES.index(_COMPLEMENT[axis.name])] = 1.0 - values[i]
         batch = solve_batch(params.T)
-
         ok = batch.solved
-        records.extend(
-            map(
-                SweepRecord,
-                coords[0][ok].tolist(),
-                coords[1][ok].tolist(),
-                batch.k_A[ok].tolist(),
-                batch.k_B[ok].tolist(),
-                map(CASE_LABELS.__getitem__, batch.case[ok].tolist()),
-                batch.n_A[ok].tolist(),
-                batch.n_B[ok].tolist(),
-                batch.quality[ok].tolist(),
-            )
-        )
-        skipped.extend(zip(coords[0][~ok].tolist(), coords[1][~ok].tolist()))
-    return SweepResult(spec=spec, records=tuple(records), skipped=tuple(skipped))
+        fields = (batch.k_A, batch.k_B, batch.case, batch.n_A, batch.n_B, batch.quality)
+        blocks.append([position[ok], position[~ok], *(f[ok] for f in fields)])
+    return SweepResult(spec, *map(np.concatenate, zip(*blocks)))
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
+def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
@@ -192,46 +186,37 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()
 
 
-class _AxisText(dict):
-    """`_fmt` of each axis value, converted once per distinct value.
-
-    Zeros are formatted every time: 0.0 and -0.0 are one dict key but print
-    as "0" and "-0".
-    """
-
-    def __missing__(self, value: float) -> str:
-        text = _fmt(value)
-        if value:
-            self[value] = text
-        return text
-
-
 def write_sweep_csv(result: SweepResult, path) -> None:
-    """Serialize a sweep, one row per computed cell, 12 significant digits.
+    """Serialize a sweep, one row per solved cell, 12 significant digits.
 
-    Each row is one format string.  An axis repeats each of its values in
-    many rows, so axis values are converted to text once.  The case label is
-    the only field that can need CSV quoting (it may contain a comma), so
-    each label is quoted once by csv.writer; the bytes are those csv.writer
-    would write.
+    Each row is one format string over the zipped columns.  Each axis value
+    is converted to text once per grid position, and a 1-D sweep's axis2 is
+    empty.  The case label is the only field that can need CSV quoting (it
+    may contain a comma), so each label is quoted once by csv.writer; the
+    bytes are those csv.writer would write.
     """
-    cases = {label: _csv_field(label) for label in CASE_LABELS}
-    axis_text = _AxisText({None: ""})
+    cases = [_csv_field(label) for label in CASE_LABELS]
+    axes = []
+    index = np.unravel_index(result.solved, result.spec.shape)
+    for axis, i in zip(result.spec.axes, index):
+        text = [_fmt(v) for v in axis.values().tolist()]
+        axes.append(map(text.__getitem__, i.tolist()))
+    if len(axes) == 1:
+        axes.append(itertools.repeat(""))
     row = "{},{},{:.12g},{:.12g},{},{:.12g},{:.12g},{:.12g}\n".format
     with open(path, "w", newline="") as handle:
         handle.write("axis1,axis2,k_A,k_B,case,n_A,n_B,Q\n")
         handle.writelines(
-            row(
-                axis_text[r.axis1],
-                axis_text[r.axis2],
-                r.k_A,
-                r.k_B,
-                cases[r.case],
-                r.n_A,
-                r.n_B,
-                r.Q,
+            map(
+                row,
+                *axes,
+                result.k_A.tolist(),
+                result.k_B.tolist(),
+                map(cases.__getitem__, result.case.tolist()),
+                result.n_A.tolist(),
+                result.n_B.tolist(),
+                result.Q.tolist(),
             )
-            for r in result.records
         )
 
 
@@ -249,33 +234,32 @@ def audit_monotonicity(
     """Run a 1-D sweep along `axis` and check it with `monotonicity_violations`."""
     if len(spec.axes) != 1 or spec.axes[0].name != axis:
         raise ValueError(f"spec must be a 1-D sweep along {axis!r}")
-    return monotonicity_violations(run_sweep(spec).records, direction)
+    return monotonicity_violations(run_sweep(spec), direction)
 
 
 def monotonicity_violations(
-    records: tuple[SweepRecord, ...], direction: Direction
+    result: SweepResult, direction: Direction
 ) -> tuple[MonotonicityViolation, ...]:
-    """Check quality ordering of adjacent cells of a 1-D sweep's records.
+    """Check quality ordering of adjacent solved cells of a sweep.
 
     Reports every adjacent pair whose quality moves against `direction` by
-    more than 1e-9.  Skipped cells are excluded, so comparisons are between
-    consecutive computed cells.
+    more than 1e-9, with the first axis's values.  Skipped cells are
+    excluded, so comparisons are between consecutive solved cells.
     """
-    violations = []
-    for prev, cur in zip(records, records[1:]):
-        delta = cur.Q - prev.Q
-        bad = (
-            delta < -_AUDIT_TOL
-            if direction is Direction.NONDECREASING
-            else delta > _AUDIT_TOL
+    step = np.diff(result.Q)
+    if direction is Direction.NONINCREASING:
+        step = -step
+    (bad,) = np.nonzero(step < -_AUDIT_TOL)
+    axis = result.coordinates(result.solved)[0]
+    return tuple(
+        map(
+            MonotonicityViolation,
+            axis[bad].tolist(),
+            axis[bad + 1].tolist(),
+            result.Q[bad].tolist(),
+            result.Q[bad + 1].tolist(),
         )
-        if bad:
-            violations.append(
-                MonotonicityViolation(
-                    axis_lo=prev.axis1, axis_hi=cur.axis1, q_lo=prev.Q, q_hi=cur.Q
-                )
-            )
-    return tuple(violations)
+    )
 
 
 def monte_carlo_accuracy(
@@ -294,7 +278,9 @@ def monte_carlo_accuracy(
     child of `np.random.SeedSequence(seed)`, so the result depends only on
     `(N, seed)` and memory only on the block size.  A play draws its three
     fair bits as one cell index 4 x + 2 [source is B] + [receiver is B],
-    then one uniform for the message and one for the decode.
+    then one uniform for the message.  Both types believe, so each best
+    response decodes a as x = 1 and b as x = 0, and a play is decoded
+    correctly when its message is a exactly when x = 1.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -304,13 +290,8 @@ def monte_carlo_accuracy(
             "strategy is not believed by both receiver types "
             f"(A={bel_A}, B={bel_B}); the accuracy identity does not apply"
         )
-    br = {group: best_response(strategy, population, group) for group in Group}
-    cells = [(x, source, rcv) for x in (0, 1) for source in Group for rcv in Group]
-    p_message_a = np.array([strategy.prob_message_a(x, src) for x, src, _ in cells])
-    # Indexed by 2 cell + [message is a]: the chance the receiver decodes
-    # x = 0 (after b) or x = 1 (after a), and whether that decode is correct.
-    p_decode = np.array([p for *_, rcv in cells for p in (br[rcv].q, br[rcv].p)])
-    decode_correct = np.array([hit for x, *_ in cells for hit in (x == 0, x == 1)])
+    cells = [(x, source) for x in (0, 1) for source in Group for _ in Group]
+    p_message_a = np.array([strategy.prob_message_a(x, src) for x, src in cells])
 
     root = np.random.SeedSequence(seed)
     hits = 0
@@ -318,10 +299,8 @@ def monte_carlo_accuracy(
         n = min(_MC_BLOCK, N - start)
         rng = np.random.default_rng(root.spawn(1)[0])
         cell = rng.integers(0, 8, n, dtype=np.uint8)
-        u_message, u_decode = rng.random((2, n))
-        index = (cell << 1) | (u_message < p_message_a.take(cell))
-        correct = (u_decode < p_decode.take(index)) == decode_correct.take(index)
-        hits += int(np.count_nonzero(correct))
+        message_a = rng.random(n) < p_message_a.take(cell)
+        hits += int(np.count_nonzero(message_a == (cell >= 4)))
 
     accuracy = hits / N
     std_error = math.sqrt(max(accuracy * (1.0 - accuracy), 0.0) / N)

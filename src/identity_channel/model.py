@@ -34,10 +34,6 @@ class Group(str, enum.Enum):
     A = "A"
     B = "B"
 
-    @property
-    def other(self) -> "Group":
-        return Group.B if self is Group.A else Group.A
-
 
 def _check_prob(value: float, name: str) -> None:
     if not (0.0 <= value <= 1.0):

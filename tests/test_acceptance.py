@@ -15,6 +15,7 @@ import pytest
 
 from identity_channel.cli import main
 from identity_channel.equilibrium import (
+    CASE_LABELS,
     IndeterminateParams,
     augmented_params,
     check_equivalence,
@@ -159,28 +160,25 @@ class TestAcceptance:
             ),
         )
         result = run_sweep(spec)
+        axis1, axis2 = result.coordinates(result.solved)
 
-        def cell(ls, la):
-            return min(
-                result.records,
-                key=lambda r: abs(r.axis1 - ls) + abs(r.axis2 - la),
-            )
+        def cell_Q(ls, la):
+            return float(result.Q[np.argmin(abs(axis1 - ls) + abs(axis2 - la))])
 
         negative_region_ok = all(
-            rec.Q == pytest.approx(4.0, abs=1e-12)
-            for rec in result.records
-            if rec.k_A < 0.0 and rec.k_B < 0.0
+            Q == pytest.approx(4.0, abs=1e-12)
+            for Q in result.Q[(result.k_A < 0.0) & (result.k_B < 0.0)]
         )
-        spot = cell(0.1, 0.9)
-        spot_ok = spot.Q == pytest.approx(4.0, abs=1e-12)
-        balanced_cell = cell(0.45, 0.55)
-        balanced_ok = abs(balanced_cell.Q - (2.0 + 1.0 + 1.0 / 1.025)) <= 1e-6
+        spot_Q = cell_Q(0.1, 0.9)
+        spot_ok = spot_Q == pytest.approx(4.0, abs=1e-12)
+        balanced_Q = cell_Q(0.45, 0.55)
+        balanced_ok = abs(balanced_Q - (2.0 + 1.0 + 1.0 / 1.025)) <= 1e-6
         ok = negative_region_ok and spot_ok and balanced_ok
         assert report(
             6,
             ok,
-            f"cell(la=0.9,ls=0.1) Q={spot.Q:.4f} (want 4), "
-            f"cell(la=0.55,ls=0.45) Q={balanced_cell.Q:.6f}",
+            f"cell(la=0.9,ls=0.1) Q={spot_Q:.4f} (want 4), "
+            f"cell(la=0.55,ls=0.45) Q={balanced_Q:.6f}",
         )
 
     def test_quality_falls_with_delta_O_B_analytically(self, balanced_population):
@@ -190,13 +188,13 @@ class TestAcceptance:
         spec = SweepSpec(
             base=balanced_population, axes=(SweepAxis("delta_O_B", 1.0, 3.5, 201),)
         )
-        records = run_sweep(spec).records
-        banded = [rec for rec in records if rec.case == "k_A>k_B>1"]
-        assert banded
-        for rec in banded:
-            assert abs(rec.Q - (3.0 + 1.0 / rec.k_B)) <= 1e-12
-        assert len(records) == 201
-        assert all(b.Q <= a.Q for a, b in zip(records, records[1:]))
+        result = run_sweep(spec)
+        banded = result.case == CASE_LABELS.index("k_A>k_B>1")
+        assert banded.any()
+        for Q, k_B in zip(result.Q[banded], result.k_B[banded]):
+            assert abs(Q - (3.0 + 1.0 / k_B)) <= 1e-12
+        assert len(result.Q) == 201
+        assert all(b <= a for a, b in zip(result.Q, result.Q[1:]))
 
     def test_criterion_7_monte_carlo_identity(self, balanced_population):
         result = closed_form_equilibrium(balanced_population)

@@ -4,11 +4,12 @@ The reference below is the closed form written one population at a time in
 plain Python: the augmented parameters, the six-case table and the boundary
 nudge (1, 2, 4, ... ulps per iteration, at most 64).  The batch code must
 reproduce it exactly, since both do the same IEEE operations in the same
-order: records are compared with ==, CSVs byte for byte.
+order: per-cell records are compared with ==, CSVs byte for byte.
 """
 
 import csv
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -26,8 +27,6 @@ from identity_channel.equilibrium import (
 from identity_channel.experiments import (
     _SWEEP_BLOCK,
     SweepAxis,
-    SweepRecord,
-    SweepResult,
     SweepSpec,
     run_sweep,
     write_sweep_csv,
@@ -122,8 +121,11 @@ _COMPLEMENT = {"lambda_a_A": "lambda_s_A", "lambda_s_A": "lambda_a_A",
                "lambda_a_B": "lambda_s_B", "lambda_s_B": "lambda_a_B"}
 
 
+Record = namedtuple("Record", "axis1 axis2 k_A k_B case n_A n_B Q")
+
+
 def reference_sweep(spec):
-    """(result, skip reasons): one cell at a time, skipping on the errors."""
+    """Records, skipped cells and skip reasons, one cell at a time."""
     axis2 = spec.axes[1] if len(spec.axes) == 2 else None
     records, skipped, reasons = [], [], set()
     for v1 in spec.axes[0].values():
@@ -143,23 +145,44 @@ def reference_sweep(spec):
                 skipped.append((float(v1), v2))
                 reasons.add(type(exc).__name__)
                 continue
-            records.append(SweepRecord(
+            records.append(Record(
                 float(v1), v2, result.params.k_A, result.params.k_B,
                 result.case_label, result.strategy.n_A, result.strategy.n_B,
                 result.quality,
             ))
-    return SweepResult(spec, tuple(records), tuple(skipped)), reasons
+    return records, skipped, reasons
+
+
+def cells_of(result, positions):
+    """(axis1, axis2) of each grid position, axis2 None on a 1-D sweep."""
+    coords = [c.tolist() for c in result.coordinates(positions)]
+    if len(coords) == 1:
+        coords.append([None] * len(positions))
+    return list(zip(*coords))
+
+
+def records_of(result):
+    """The result's columns as one Record per solved cell."""
+    labels = [CASE_LABELS[c] for c in result.case.tolist()]
+    k_A, k_B, n_A, n_B, Q = (
+        c.tolist() for c in (result.k_A, result.k_B, result.n_A, result.n_B, result.Q)
+    )
+    cells = cells_of(result, result.solved)
+    return [
+        Record(*cell, *fields)
+        for cell, *fields in zip(cells, k_A, k_B, labels, n_A, n_B, Q)
+    ]
 
 
 def _fmt(value):
     return "" if value is None else f"{value:.12g}"
 
 
-def reference_csv(result, path):
+def reference_csv(records, path):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["axis1", "axis2", "k_A", "k_B", "case", "n_A", "n_B", "Q"])
-        for rec in result.records:
+        for rec in records:
             writer.writerow([_fmt(rec.axis1), _fmt(rec.axis2), _fmt(rec.k_A),
                              _fmt(rec.k_B), rec.case, _fmt(rec.n_A),
                              _fmt(rec.n_B), _fmt(rec.Q)])
@@ -210,19 +233,20 @@ def test_sweep_matches_reference(name, tmp_path):
         axes=tuple(SweepAxis(*axis) for axis in axes),
         simplex_constrained=simplex,
     )
-    expected, reasons = reference_sweep(spec)
+    expected, skipped, reasons = reference_sweep(spec)
     result = run_sweep(spec)
-    assert result.records == expected.records
-    assert result.skipped == expected.skipped
+    records = records_of(result)
+    assert records == expected
+    assert cells_of(result, result.skipped) == skipped
 
-    seen = reasons | {rec.case for rec in result.records}
-    if any(rec.k_A == math.inf for rec in result.records):
+    seen = reasons | {rec.case for rec in records}
+    if any(rec.k_A == math.inf for rec in records):
         seen.add("inf")
-    if any(str(rec.axis1) == "-0.0" for rec in result.records):
+    if any(str(rec.axis1) == "-0.0" for rec in records):
         seen.add("-0")
     if len(axes) == 1:
         seen.add("1-D")
-    if len(result.records) + len(result.skipped) > _SWEEP_BLOCK:
+    if len(records) + len(result.skipped) > _SWEEP_BLOCK:
         seen.add("several blocks")
     assert features <= seen
 

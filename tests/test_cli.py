@@ -120,6 +120,27 @@ class TestVerifyCommand:
     def test_bad_seed_usage_error(self, seed):
         assert main(["verify", "--trials", "1", "--seed", seed]) == EXIT_USAGE
 
+    def test_lp_oracle_without_encoding_exits_2(self, capsys, tmp_path):
+        # Restricted, and the closed form solves it (Q = 2, case k_B>k_A>0),
+        # but at these scales the LP oracle's absolute 1e-9 tolerance finds
+        # no believed vertex.
+        params = {
+            "lambda_a_A": 1502063.5125848716,
+            "lambda_s_A": 200898296.5778057,
+            "delta_I_A": 1.9039177785812147e-09,
+            "delta_O_A": 875121.2011196348,
+            "lambda_a_B": 0.1887004702975436,
+            "lambda_s_B": 6.625242742900015e-05,
+            "delta_I_B": 420019.12047061854,
+            "delta_O_B": 192058681.4687015,
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"population": params}))
+        assert main(["verify", "--config", str(path)]) == EXIT_DOMAIN_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestEstimateCommand:
     def test_example_report(self, capsys, balanced_config):

@@ -1,16 +1,20 @@
 """Tests for sweeps, monotonicity audits and Monte Carlo accuracy."""
 
 import math
+import tracemalloc
 
 import pytest
 
+from identity_channel.equilibrium import CASE_LABELS
 from identity_channel.experiments import (
     Direction,
+    MonotonicityViolation,
     NonBelievingReceiver,
     SweepAxis,
     SweepSpec,
     audit_monotonicity,
     expected_direction,
+    monotonicity_violations,
     monte_carlo_accuracy,
     run_sweep,
     write_simulation_csv,
@@ -47,10 +51,10 @@ class TestRunSweep:
             axes=(SweepAxis("lambda_a_A", 0.55, 0.55, 1),),
         )
         result = run_sweep(spec)
-        assert len(result.records) == 1
+        assert len(result.Q) == 1
         base = closed_form_equilibrium(balanced_population)
-        assert result.records[0].Q == pytest.approx(base.quality, abs=1e-12)
-        assert result.records[0].case == base.case_label
+        assert result.Q[0] == pytest.approx(base.quality, abs=1e-12)
+        assert CASE_LABELS[result.case[0]] == base.case_label
 
     def test_2d_sweep_shape_and_bounds(self, balanced_population):
         spec = SweepSpec(
@@ -63,10 +67,10 @@ class TestRunSweep:
         result = run_sweep(spec)
         # The (0, 0) cell has a type-A receiver with no weights at all and
         # is skipped; every computed cell keeps at least half the quality.
-        assert len(result.records) + len(result.skipped) == 121
-        assert result.skipped == ((0.0, 0.0),)
-        for rec in result.records:
-            assert 2.0 - 1e-12 <= rec.Q <= 4.0 + 1e-12
+        assert len(result.Q) + len(result.skipped) == 121
+        assert list(zip(*result.coordinates(result.skipped))) == [(0.0, 0.0)]
+        for Q in result.Q:
+            assert 2.0 - 1e-12 <= Q <= 4.0 + 1e-12
 
     def test_restriction_violating_cells_skipped(self, balanced_population):
         spec = SweepSpec(
@@ -76,7 +80,7 @@ class TestRunSweep:
         result = run_sweep(spec)
         # delta_I_A in {3, 4} exceeds delta_O_A = 2 and must be skipped.
         assert len(result.skipped) == 2
-        assert len(result.records) == 3
+        assert len(result.Q) == 3
 
     def test_row_major_and_deterministic_csv(self, balanced_population, tmp_path):
         spec = SweepSpec(
@@ -87,7 +91,7 @@ class TestRunSweep:
             ),
         )
         result = run_sweep(spec)
-        firsts = [rec.axis1 for rec in result.records]
+        firsts = result.coordinates(result.solved)[0].tolist()
         assert firsts == sorted(firsts)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_sweep_csv(result, p1)
@@ -105,9 +109,28 @@ class TestRunSweep:
         )
         result = run_sweep(spec)
         # At lambda_s_A = 1 the complementary lambda_a_A becomes 0.
-        assert len(result.records) == 3
-        last = result.records[-1]
-        assert last.axis1 == 1.0
+        assert len(result.Q) == 3
+        (axis1,) = result.coordinates(result.solved)
+        assert axis1[-1] == 1.0
+
+
+    def test_result_memory_bounded_per_cell(self, balanced_population):
+        axes = (
+            SweepAxis("delta_O_A", 0.0, 6.0, 201),
+            SweepAxis("delta_O_B", 0.0, 6.0, 201),
+        )
+        run_sweep(SweepSpec(balanced_population, axes[:1]))  # first-call set-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_sweep(SweepSpec(balanced_population, axes))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Columns hold 56 bytes per solved cell and 8 per skipped one; a
+        # Python object per cell would take several times that.
+        assert retained <= 100 * 201 * 201
+        assert len(result.Q) + len(result.skipped) == 201 * 201
 
 
 class TestAudit:
@@ -140,6 +163,27 @@ class TestAudit:
         )
         for direction in Direction:
             assert audit_monotonicity(spec, "lambda_a_A", direction) == ()
+
+    def test_violations_are_adjacent_solved_cells(self, balanced_population):
+        # Q = 3 + 1/k_B falls along delta_O_B; each violation must name the
+        # two adjacent solved cells and their qualities, as a pairwise loop
+        # over the columns finds them.
+        spec = SweepSpec(
+            base=balanced_population,
+            axes=(SweepAxis("delta_O_B", 1.0, 3.5, 201),),
+        )
+        result = run_sweep(spec)
+        (axis,) = result.coordinates(result.solved)
+        axis, Q = axis.tolist(), result.Q.tolist()
+        expected = tuple(
+            MonotonicityViolation(axis_lo, axis_hi, q_lo, q_hi)
+            for axis_lo, axis_hi, q_lo, q_hi in zip(axis, axis[1:], Q, Q[1:])
+            if q_hi - q_lo < -1e-9
+        )
+        assert len(expected) == 5
+        found = monotonicity_violations(result, Direction.NONDECREASING)
+        assert found == expected
+        assert audit_monotonicity(spec, "delta_O_B", Direction.NONDECREASING) == found
 
     def test_axis_mismatch_rejected(self, balanced_population):
         spec = SweepSpec(

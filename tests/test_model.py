@@ -51,10 +51,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             ReceiverStrategy(p=-0.2, q=0.5)
 
-    def test_group_other(self):
-        assert Group.A.other is Group.B
-        assert Group.B.other is Group.A
-
     def test_params_roundtrip(self, balanced_params):
         pop = population_from_params(balanced_params)
         assert population_params(pop) == balanced_params
