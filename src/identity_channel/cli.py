@@ -292,8 +292,13 @@ def _sweep_spec_from_config(config: RunConfig) -> SweepSpec:
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     spec = _sweep_spec_from_config(config)
-    if args.audit and len(spec.axes) != 1:
-        raise UsageError("--audit requires a single sweep axis")
+    if args.audit:
+        if len(spec.axes) != 1:
+            raise UsageError("--audit requires a single sweep axis")
+        try:
+            direction = expected_direction(spec.axes[0].name)
+        except ValueError as exc:
+            raise UsageError(f"--audit: {exc}") from exc
     result = run_sweep(spec)
     try:
         write_sweep_csv(result, args.out)
@@ -310,7 +315,6 @@ def cmd_sweep(args) -> int:
     }
     exit_code = EXIT_OK
     if args.audit:
-        direction = expected_direction(spec.axes[0].name)
         violations = monotonicity_violations(result, direction)
         report["audit_direction"] = direction.value
         report["audit_violations"] = [

@@ -148,7 +148,9 @@ def solve_batch(params: np.ndarray) -> BatchEquilibrium:
     a residual a few ulps below zero, so it is backed off until both types
     believe it: while type A rejects, n_B moves toward 0, else while type B
     rejects, n_A does, by 1, 2, 4, ... ulps (doubling each iteration, at
-    most 64).  Of the believed points the one of maximal quality wins, the
+    most 64).  Only points inside their case's closure are tested, and after
+    the first test only the points the last iteration moved are tested
+    again.  Of the believed points the one of maximal quality wins, the
     first in table order on exact quality ties.  Raises NoFeasibleEncoding
     if a solved row has no believed point.
     """
@@ -179,22 +181,30 @@ def solve_batch(params: np.ndarray) -> BatchEquilibrium:
              np.where(k_B > 0.0, np.minimum(1.0, inv_B), 1.0)]
         )
         n_B = np.stack([one, zero, k_A, one, one, one])
-    # Points outside their closure become (0, 0), which never moves.
+    # Points outside their closure become (0, 0) and are never tested.
     n_A = np.where(applies, n_A, 0.0)
     n_B = np.where(applies, n_B, 0.0)
 
+    # The points inside, as flat (case, cell) pairs.
+    cand, cell = np.nonzero(applies)
+    pts = p[:, cell]
+    a, b = n_A[cand, cell], n_B[cand, cell]
+    bel_A, bel_B = believes((1.0, 1.0, a, b), pts)
     for step in range(_NUDGE_STEPS):
-        bel_A, bel_B = believes((1.0, 1.0, n_A, n_B), p)
-        lower_B = ~bel_A & (n_B > 0.0)
-        lower_A = ~lower_B & ~bel_B & (n_A > 0.0)
-        if not (lower_A.any() or lower_B.any()):
+        lower_B = ~bel_A & (b > 0.0)
+        lower_A = ~lower_B & ~bel_B & (a > 0.0)
+        (moved,) = np.nonzero(lower_A | lower_B)
+        if not len(moved):
             break
-        n_B = np.where(lower_B, _ulps_down(n_B, 2.0**step), n_B)
-        n_A = np.where(lower_A, _ulps_down(n_A, 2.0**step), n_A)
-    else:  # the last iteration moved points: test them again
-        bel_A, bel_B = believes((1.0, 1.0, n_A, n_B), p)
+        b[lower_B] = _ulps_down(b[lower_B], 2.0**step)
+        a[lower_A] = _ulps_down(a[lower_A], 2.0**step)
+        bel_A[moved], bel_B[moved] = believes(
+            (1.0, 1.0, a[moved], b[moved]), pts[:, moved]
+        )
+    n_A[cand, cell], n_B[cand, cell] = a, b
+    feasible = np.zeros_like(applies)
+    feasible[cand, cell] = bel_A & bel_B
 
-    feasible = applies & bel_A & bel_B
     if (solved & ~feasible.any(axis=0)).any():
         raise NoFeasibleEncoding("no analytic candidate is feasible")
     q = 2.0 + n_A + n_B

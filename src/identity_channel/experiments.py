@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -186,38 +185,63 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()
 
 
+def _distinct_text(column: np.ndarray) -> np.ndarray:
+    """Each float of `column` as `_fmt` bytes, each distinct value formatted once.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own text.
+    """
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype="S")
+    return text[inverse]
+
+
+def _csv_lines(fields: list[np.ndarray]) -> bytes:
+    """One comma-separated line per row of the aligned bytes columns `fields`.
+
+    Each field sits NUL-padded at a fixed offset of a uint8 grid, followed
+    by its separator; the text holds no NUL, so dropping the NULs leaves the
+    lines.
+    """
+    widths = [field.itemsize for field in fields]
+    grid = np.zeros((len(fields[0]), sum(widths) + len(widths)), dtype=np.uint8)
+    end = 0
+    for field, width in zip(fields, widths):
+        grid[:, end : end + width] = field.view(np.uint8).reshape(-1, width)
+        grid[:, end + width] = ord(",")
+        end += width + 1
+    grid[:, -1] = ord("\n")
+    return grid[grid != 0].tobytes()
+
+
 def write_sweep_csv(result: SweepResult, path) -> None:
     """Serialize a sweep, one row per solved cell, 12 significant digits.
 
-    Each row is one format string over the zipped columns.  Each axis value
-    is converted to text once per grid position, and a 1-D sweep's axis2 is
-    empty.  The case label is the only field that can need CSV quoting (it
-    may contain a comma), so each label is quoted once by csv.writer; the
-    bytes are those csv.writer would write.
+    Rows are written `_SWEEP_BLOCK` at a time.  Within a block each float
+    column is converted to text once per distinct value (by bits, so -0.0
+    stays "-0"), and each axis value once per grid position; a 1-D sweep's
+    axis2 is empty.  The case label is the only field that can need CSV
+    quoting (it may contain a comma), so each label is quoted once by
+    csv.writer; the bytes are those csv.writer would write.
     """
-    cases = [_csv_field(label) for label in CASE_LABELS]
-    axes = []
-    index = np.unravel_index(result.solved, result.spec.shape)
-    for axis, i in zip(result.spec.axes, index):
-        text = [_fmt(v) for v in axis.values().tolist()]
-        axes.append(map(text.__getitem__, i.tolist()))
-    if len(axes) == 1:
-        axes.append(itertools.repeat(""))
-    row = "{},{},{:.12g},{:.12g},{},{:.12g},{:.12g},{:.12g}\n".format
-    with open(path, "w", newline="") as handle:
-        handle.write("axis1,axis2,k_A,k_B,case,n_A,n_B,Q\n")
-        handle.writelines(
-            map(
-                row,
-                *axes,
-                result.k_A.tolist(),
-                result.k_B.tolist(),
-                map(cases.__getitem__, result.case.tolist()),
-                result.n_A.tolist(),
-                result.n_B.tolist(),
-                result.Q.tolist(),
-            )
-        )
+    cases = np.array([_csv_field(label) for label in CASE_LABELS], dtype="S")
+    axes = [_distinct_text(axis.values()) for axis in result.spec.axes]
+    with open(path, "wb") as handle:
+        handle.write(b"axis1,axis2,k_A,k_B,case,n_A,n_B,Q\n")
+        for start in range(0, len(result.solved), _SWEEP_BLOCK):
+            block = slice(start, start + _SWEEP_BLOCK)
+            index = np.unravel_index(result.solved[block], result.spec.shape)
+            fields = [text[i] for text, i in zip(axes, index)]
+            if len(fields) == 1:
+                fields.append(np.zeros(len(fields[0]), dtype="S1"))
+            fields += [
+                _distinct_text(result.k_A[block]),
+                _distinct_text(result.k_B[block]),
+                cases[result.case[block]],
+                _distinct_text(result.n_A[block]),
+                _distinct_text(result.n_B[block]),
+                _distinct_text(result.Q[block]),
+            ]
+            handle.write(_csv_lines(fields))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 Each criterion test evaluates exactly one criterion and prints a single
 "CRITERION n: PASS/FAIL" line before asserting, so a verbose run reads as
-a checklist.  One further test checks analytically what criterion 5's
-delta_O_B audit meets instead of its expectation.  Failing criteria reflect genuine gaps between the model's
-behavior and the written expectation; the assertions are not weakened to
-hide them (see the repository README for the known failures).
+a checklist.  Two further tests check analytically what criterion 5's
+delta_O_B and delta_O_A audits meet instead of its expectation.  Failing
+criteria reflect genuine gaps between the model's behavior and the written
+expectation; the assertions are not weakened to hide them (see the
+repository README for the known failures).
 """
 
 import math
@@ -195,6 +196,37 @@ class TestAcceptance:
             assert abs(Q - (3.0 + 1.0 / k_B)) <= 1e-12
         assert len(result.Q) == 201
         assert all(b <= a for a, b in zip(result.Q, result.Q[1:]))
+
+    def test_quality_falls_with_delta_O_A_analytically(self, request):
+        # Along delta_O_A, k_A falls from -inf through +inf to 0 while k_B
+        # stays fixed, and each solved cell's Q must be its case's formula:
+        # Q = 3 + 1/k_B where (1, 1, 1/k_B, 1) is optimal, 3 + k_A in case
+        # 1>k_A>k_B, 4 where (1, 1, 1, 1) is believed and 2 where only the
+        # truth is.  So Q never rises.  Not a criterion.
+        formula = {
+            "k_A<0,k_B<0": lambda k_A, k_B: 4.0,
+            "k_B>k_A>0": lambda k_A, k_B: 2.0,
+            "1>k_A>k_B": lambda k_A, k_B: 3.0 + k_A,
+            "k_A>1>k_B": lambda k_A, k_B: 4.0,
+            "k_A>k_B>1": lambda k_A, k_B: 3.0 + 1.0 / k_B,
+            "k_B>0>k_A": lambda k_A, k_B: 3.0 + min(1.0, 1.0 / k_B),
+        }
+        seen = set()
+        for config in ("high_accuracy", "balanced", "low_accuracy"):
+            population = request.getfixturevalue(f"{config}_population")
+            spec = SweepSpec(
+                base=population, axes=(SweepAxis("delta_O_A", 1.0, 6.0, 201),)
+            )
+            result = run_sweep(spec)
+            assert len(result.Q) == 201
+            for case, k_A, k_B, Q in zip(
+                result.case.tolist(), result.k_A, result.k_B, result.Q
+            ):
+                label = CASE_LABELS[case]
+                seen.add(label)
+                assert abs(Q - formula[label](k_A, k_B)) <= 1e-12
+            assert all(b <= a for a, b in zip(result.Q, result.Q[1:]))
+        assert seen == set(CASE_LABELS) - {"k_A<0,k_B<0"}
 
     def test_criterion_7_monte_carlo_identity(self, balanced_population):
         result = closed_form_equilibrium(balanced_population)

@@ -27,6 +27,7 @@ from identity_channel.equilibrium import (
 from identity_channel.experiments import (
     _SWEEP_BLOCK,
     SweepAxis,
+    SweepResult,
     SweepSpec,
     run_sweep,
     write_sweep_csv,
@@ -254,6 +255,43 @@ def test_sweep_matches_reference(name, tmp_path):
     write_sweep_csv(result, ours)
     reference_csv(expected, theirs)
     assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_csv_text_of_distinct_bits(tmp_path):
+    """Columns holding values that compare or print alike, over several blocks.
+
+    The writer formats each distinct value of a block once; values equal as
+    floats but not as bits (0.0 and -0.0) must keep their own text.
+    """
+    straddle = 0.1234567890125
+    values = np.array([
+        0.0, -0.0, math.inf, -math.inf,
+        1.0, math.nextafter(1.0, 2.0),  # one ulp apart, printed alike
+        straddle, math.nextafter(straddle, 1.0),  # one ulp apart, printed apart
+    ])
+    assert _fmt(values[4]) == _fmt(values[5])
+    assert _fmt(values[6]) != _fmt(values[7])
+
+    cells = 2 * _SWEEP_BLOCK + 5
+    spec = SweepSpec(
+        base=population_from_params(BASE),
+        axes=(SweepAxis("delta_O_B", 0.0, 1.0, cells),),
+    )
+    position = np.arange(cells)
+    solved = position[position % 7 != 3]
+    i = np.arange(len(solved))
+    result = SweepResult(
+        spec, solved, position[position % 7 == 3],
+        k_A=values[i % 8], k_B=values[(i + 3) % 8], case=i % len(CASE_LABELS),
+        n_A=values[i // 2 % 8], n_B=values[i // 3 % 8], Q=values[i // 5 % 8],
+    )
+
+    ours, theirs = tmp_path / "batch.csv", tmp_path / "reference.csv"
+    write_sweep_csv(result, ours)
+    reference_csv(records_of(result), theirs)
+    text = ours.read_bytes()
+    assert text == theirs.read_bytes()
+    assert b",-0," in text and b",0," in text and b",-inf," in text
 
 
 def test_batch_matches_reference_on_random_populations():

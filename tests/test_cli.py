@@ -263,6 +263,22 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    def test_audit_of_axis_without_direction_rejected_before_the_sweep(
+        self, capsys, tmp_path, balanced_params
+    ):
+        path = tmp_path / "c.json"
+        axes = [{"name": "delta_I_A", "lo": 0.5, "hi": 1.0, "resolution": 3}]
+        path.write_text(
+            json.dumps({"population": balanced_params, "sweep": {"axes": axes}})
+        )
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", str(path), "--out", str(out), "--audit"])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "delta_I_A" in captured.err
+
     def test_resolution_one_rejected(self, tmp_path, balanced_params):
         path = tmp_path / "c.json"
         path.write_text(

@@ -15,8 +15,9 @@ from identity_channel.equilibrium import (
     compare_on,
     full_lp_oracle,
     random_restricted_population,
+    solve_batch,
 )
-from identity_channel.model import IdentityProfile, Population
+from identity_channel.model import IdentityProfile, Population, population_params
 from identity_channel.receiver import belief_residuals, believes
 
 
@@ -192,12 +193,16 @@ class TestEquivalence:
 
     def test_structural_properties_random(self):
         rng = np.random.default_rng(99)
-        for _ in range(300):
-            pop = random_restricted_population(rng)
-            try:
-                result = closed_form_equilibrium(pop)
-            except IndeterminateParams:
+        pops = [random_restricted_population(rng) for _ in range(300)]
+        batch = solve_batch(
+            np.array([list(population_params(p).values()) for p in pops])
+        )
+        for i, pop in enumerate(pops):
+            if not batch.solved[i]:
+                with pytest.raises(IndeterminateParams):
+                    closed_form_equilibrium(pop)
                 continue
+            result = batch.result(i)
             assert result.strategy.m_A == 1.0
             assert result.strategy.m_B == 1.0
             assert 2.0 - 1e-12 <= result.quality <= 4.0

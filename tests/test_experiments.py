@@ -7,6 +7,7 @@ import pytest
 
 from identity_channel.equilibrium import CASE_LABELS
 from identity_channel.experiments import (
+    _SWEEP_BLOCK,
     Direction,
     MonotonicityViolation,
     NonBelievingReceiver,
@@ -131,6 +132,30 @@ class TestRunSweep:
         # Python object per cell would take several times that.
         assert retained <= 100 * 201 * 201
         assert len(result.Q) + len(result.skipped) == 201 * 201
+
+    def test_csv_writer_memory_bounded_in_rows(self, balanced_population, tmp_path):
+        def peak_traced_bytes(resolution):
+            axes = tuple(
+                SweepAxis(name, 1.0, 6.0, resolution)
+                for name in ("delta_O_A", "delta_O_B")
+            )
+            result = run_sweep(SweepSpec(balanced_population, axes))
+            assert len(result.Q) == resolution**2
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                write_sweep_csv(result, tmp_path / "sweep.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_traced_bytes(8)  # first-call set-up
+        one_block = peak_traced_bytes(64)  # 4096 rows
+        eight_blocks = peak_traced_bytes(181)  # 32761 rows
+        # Blocks differ only in field widths, and the axis text in a few
+        # bytes per grid position; a writer holding every row's text peaks
+        # at ~200 bytes per row of all rows.
+        assert eight_blocks <= one_block + 8 * _SWEEP_BLOCK
 
 
 class TestAudit:
