@@ -188,6 +188,13 @@ def _csv_field(text: str) -> str:
 def _distinct_text(column: np.ndarray) -> np.ndarray:
     """Each float of `column` as `_fmt` bytes, each distinct value formatted once.
 
+    A sweep's columns repeat: k_A depends on type A's parameters only and
+    k_B on type B's, n_A is 0, 1 or a function of k_B, n_B is 0, 1 or k_A,
+    and no case moves both, so Q = 2 + n_A + n_B follows one k at a time.
+    A block of a sweep over both types' parameters thus holds a few
+    percent distinct values per column; one over a single type's
+    parameters at most three columns of distinct values, the other two
+    constant.
     Values are told apart by their bits, so -0.0 and 0.0 keep their own text.
     """
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
@@ -199,8 +206,8 @@ def _csv_lines(fields: list[np.ndarray]) -> bytes:
     """One comma-separated line per row of the aligned bytes columns `fields`.
 
     Each field sits NUL-padded at a fixed offset of a uint8 grid, followed
-    by its separator; the text holds no NUL, so dropping the NULs leaves the
-    lines.
+    by its separator.  Float text and the quoted case labels hold no NUL, so
+    dropping the NULs leaves the lines; an all-NUL field comes out empty.
     """
     widths = [field.itemsize for field in fields]
     grid = np.zeros((len(fields[0]), sum(widths) + len(widths)), dtype=np.uint8)
@@ -218,10 +225,11 @@ def write_sweep_csv(result: SweepResult, path) -> None:
 
     Rows are written `_SWEEP_BLOCK` at a time.  Within a block each float
     column is converted to text once per distinct value (by bits, so -0.0
-    stays "-0"), and each axis value once per grid position; a 1-D sweep's
-    axis2 is empty.  The case label is the only field that can need CSV
-    quoting (it may contain a comma), so each label is quoted once by
-    csv.writer; the bytes are those csv.writer would write.
+    stays "-0"; `_distinct_text` says why values repeat), and each axis
+    value once per grid position; a 1-D sweep's axis2 is empty.  The case
+    label is the only field that can need CSV quoting (it may contain a
+    comma), so each label is quoted once by csv.writer; the bytes are those
+    csv.writer would write.
     """
     cases = np.array([_csv_field(label) for label in CASE_LABELS], dtype="S")
     axes = [_distinct_text(axis.values()) for axis in result.spec.axes]
