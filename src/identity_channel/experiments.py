@@ -294,6 +294,16 @@ def monotonicity_violations(
     )
 
 
+def _uniform_threshold(p) -> np.ndarray:
+    """Integer thresholds T = ceil(p 2^53) for probabilities p in [0, 1].
+
+    For every integer k in [0, 2^53), k < T exactly when the uniform
+    k 2^-53 < p: scaling by a power of two is exact in float64, and an
+    integer is below a real number exactly when it is below its ceiling.
+    """
+    return np.ceil(np.asarray(p, dtype=np.float64) * 2.0**53).astype(np.int64)
+
+
 def monte_carlo_accuracy(
     strategy: SenderStrategy,
     population: Population,
@@ -308,10 +318,15 @@ def monte_carlo_accuracy(
 
     Plays are sampled in blocks of `_MC_BLOCK`.  Block b draws from the b-th
     child of `np.random.SeedSequence(seed)`, so the result depends only on
-    `(N, seed)` and memory only on the block size.  A play draws its three
-    fair bits as one cell index 4 x + 2 [source is B] + [receiver is B],
-    then one uniform for the message.  Both types believe, so each best
-    response decodes a as x = 1 and b as x = 0, and a play is decoded
+    `(N, seed)` and memory only on the block size.  Each play is one raw
+    64-bit output of `np.random.PCG64` on that child; NumPy keeps these raw
+    streams stable across releases (NEP 19), so the result does not depend
+    on the NumPy version either.  The word's low 3 bits are the play's cell
+    4 x + 2 [source is B] + [receiver is B]; its top 53 bits are an integer
+    k, and u = k 2^-53 is the message uniform (the float `Generator.random`
+    makes from the same word).  The message is a when u < p, tested exactly
+    on integers as k < `_uniform_threshold(p)`.  Both types believe, so each
+    best response decodes a as x = 1 and b as x = 0, and a play is decoded
     correctly when its message is a exactly when x = 1.
     """
     if N < 1:
@@ -323,15 +338,18 @@ def monte_carlo_accuracy(
             f"(A={bel_A}, B={bel_B}); the accuracy identity does not apply"
         )
     cells = [(x, source) for x in (0, 1) for source in Group for _ in Group]
-    p_message_a = np.array([strategy.prob_message_a(x, src) for x, src in cells])
+    threshold = _uniform_threshold(
+        [strategy.prob_message_a(x, src) for x, src in cells]
+    )
 
     root = np.random.SeedSequence(seed)
     hits = 0
     for start in range(0, N, _MC_BLOCK):
         n = min(_MC_BLOCK, N - start)
-        rng = np.random.default_rng(root.spawn(1)[0])
-        cell = rng.integers(0, 8, n, dtype=np.uint8)
-        message_a = rng.random(n) < p_message_a.take(cell)
+        word = np.random.PCG64(root.spawn(1)[0]).random_raw(n)
+        cell = (word & 7).view(np.int64)
+        word >>= 11  # k in place: one block array fewer
+        message_a = word.view(np.int64) < threshold.take(cell)
         hits += int(np.count_nonzero(message_a == (cell >= 4)))
 
     accuracy = hits / N

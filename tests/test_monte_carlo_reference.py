@@ -1,11 +1,13 @@
 """The blocked Monte Carlo sampler against a whole-array reference.
 
-The reference below draws every block's random numbers from the same
+The reference below draws every block's raw PCG64 words from the same
 per-block streams (block b from the b-th child of `SeedSequence(seed)`),
-joins them into length-N arrays, decodes each cell index into its three
-fair bits and samples the plays with the plain per-play formulas.  Both do
-the same comparisons on the same floats, so `(accuracy, std_error)` must be
-equal, not merely close.
+joins them into length-N arrays, decodes each word's low 3 bits into the
+play's three fair bits and its top 53 bits into the float message uniform
+u = k 2^-53, and samples the plays with the plain per-play formulas.  The
+sampler compares integers where the reference compares floats, and the two
+comparisons agree exactly, so `(accuracy, std_error)` must be equal, not
+merely close.
 """
 
 import math
@@ -15,7 +17,11 @@ import numpy as np
 import pytest
 
 from identity_channel.equilibrium import closed_form_equilibrium
-from identity_channel.experiments import _MC_BLOCK, monte_carlo_accuracy
+from identity_channel.experiments import (
+    _MC_BLOCK,
+    _uniform_threshold,
+    monte_carlo_accuracy,
+)
 from identity_channel.model import (
     Group,
     IdentityProfile,
@@ -30,21 +36,17 @@ B = _MC_BLOCK
 
 def reference_accuracy(strategy, population, N, seed):
     children = np.random.SeedSequence(seed).spawn(math.ceil(N / B))
-    cells, u_message, u_decode = [], [], []
-    for b, child in enumerate(children):
-        n = min(B, N - b * B)
-        rng = np.random.default_rng(child)
-        cells.append(rng.integers(0, 8, n, dtype=np.uint8))
-        u = rng.random((2, n))
-        u_message.append(u[0])
-        u_decode.append(u[1])
-    cell = np.concatenate(cells)
-    u_message = np.concatenate(u_message)
-    u_decode = np.concatenate(u_decode)
+    raw = np.concatenate(
+        [
+            np.random.PCG64(child).random_raw(min(B, N - b * B))
+            for b, child in enumerate(children)
+        ]
+    )
 
-    x = (cell >> 2).astype(int)
-    theta_is_b = ((cell >> 1) & 1).astype(bool)
-    receiver_is_b = (cell & 1).astype(bool)
+    x = ((raw >> 2) & 1).astype(int)
+    theta_is_b = ((raw >> 1) & 1).astype(bool)
+    receiver_is_b = (raw & 1).astype(bool)
+    u_message = (raw >> 11) * 2.0**-53
     p_msg_a = np.where(
         x == 1,
         np.where(theta_is_b, strategy.m_B, strategy.m_A),
@@ -52,13 +54,13 @@ def reference_accuracy(strategy, population, N, seed):
     )
     msg_is_a = u_message < p_msg_a
 
+    # Best responses are pure: believe a message (decode a as 1, b as 0)
+    # with probability p or q in {0, 1}.
     br_A = best_response(strategy, population, Group.A)
     br_B = best_response(strategy, population, Group.B)
     p = np.where(receiver_is_b, br_B.p, br_A.p)
     q = np.where(receiver_is_b, br_B.q, br_A.q)
-    x_hat = np.where(
-        msg_is_a, (u_decode < p).astype(int), 1 - (u_decode < q).astype(int)
-    )
+    x_hat = np.where(msg_is_a, p, 1.0 - q)
 
     accuracy = float(np.mean(x_hat == x))
     std_error = math.sqrt(max(accuracy * (1.0 - accuracy), 0.0) / N)
@@ -81,6 +83,16 @@ def _balanced():
     return closed_form_equilibrium(population).strategy, population
 
 
+def _middle_band():
+    # 1>k_A>k_B: n_B = k_A ~ 0.1647 is fractional, n_A = 1.
+    population = Population(
+        IdentityProfile(0.1, 0.9, 0.2, 2.0), IdentityProfile(0.5, 0.0, 1.0, 2.0)
+    )
+    result = closed_form_equilibrium(population)
+    assert result.case_label == "1>k_A>k_B"
+    return result.strategy, population
+
+
 def _silent():
     profile = IdentityProfile(1.0, 0.0, 1.0, 2.0)
     return SenderStrategy(1, 1, 0, 0), Population(profile, profile)
@@ -91,7 +103,7 @@ def _noiseless():
     return SenderStrategy(1, 1, 1, 1), Population(profile, profile)
 
 
-@pytest.mark.parametrize("case", [_balanced, _silent, _noiseless])
+@pytest.mark.parametrize("case", [_balanced, _middle_band, _silent, _noiseless])
 @pytest.mark.parametrize(
     "N", [1, B - 1, B, B + 1, 5 * B // 2], ids=["1", "B-1", "B", "B+1", "2.5B"]
 )
@@ -101,6 +113,38 @@ def test_blocked_sampler_matches_reference(case, N):
         assert monte_carlo_accuracy(strategy, population, N, seed) == (
             reference_accuracy(strategy, population, N, seed)
         )
+
+
+def test_balanced_golden_value():
+    """Pins the sampler's stream: PCG64's raw output, stable under NEP 19.
+
+    A change to how plays are drawn must fail here, even when it keeps the
+    sampler and the reference in step.
+    """
+    strategy, population = _balanced()
+    assert monte_carlo_accuracy(strategy, population, 5 * B // 2, 0) == (
+        0.99381103515625,
+        0.00019375411975699417,
+    )
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        0.0,
+        2.0**-1074,
+        2.0**-53,
+        np.nextafter(0.5, 0.0),
+        0.5,
+        np.nextafter(1.0, 0.0),
+        1.0,
+    ],
+)
+def test_uniform_threshold_is_exact(p):
+    T = int(_uniform_threshold(p))
+    for k in (0, T - 1, T, T + 1, 2**53 - 1):
+        if 0 <= k < 2**53:
+            assert (k < T) == (k * 2.0**-53 < p), (p, k, T)
 
 
 def _peak_traced_bytes(strategy, population, N):
