@@ -134,6 +134,36 @@ def _ulps_down(n: np.ndarray, ulps: float) -> np.ndarray:
     return np.maximum(n - ulps * (n - np.nextafter(n, 0.0)), 0.0)
 
 
+def _nudge(a, b, pts, bel_A, bel_B) -> np.ndarray:
+    """Back points (1, 1, a, b) off in place until both types believe them.
+
+    While type A rejects a point, its b moves toward 0, else while type B
+    rejects it, its a does, by 1, 2, 4, ... ulps (doubling each iteration,
+    at most 64); only the points the last iteration moved are tested again.
+    `bel_A` and `bel_B` are the points' first test; returns whether both
+    types believe each point at the end.
+    """
+    for step in range(_NUDGE_STEPS):
+        lower_B = ~bel_A & (b > 0.0)
+        lower_A = ~lower_B & ~bel_B & (a > 0.0)
+        (moved,) = np.nonzero(lower_A | lower_B)
+        if not len(moved):
+            break
+        b[lower_B] = _ulps_down(b[lower_B], 2.0**step)
+        a[lower_A] = _ulps_down(a[lower_A], 2.0**step)
+        bel_A[moved], bel_B[moved] = believes(
+            (1.0, 1.0, a[moved], b[moved]), pts[:, moved]
+        )
+    return bel_A & bel_B
+
+
+def _run_starts(ids: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in `ids`."""
+    starts = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=starts[1:])
+    return starts
+
+
 def solve_batch(params: np.ndarray) -> BatchEquilibrium:
     """Analytic equilibria of populations given as rows of their parameters.
 
@@ -144,15 +174,15 @@ def solve_batch(params: np.ndarray) -> BatchEquilibrium:
 
     Each case of the table whose closure contains (k_A, k_B) proposes an
     (n_A, n_B) point; boundary and infinite-parameter inputs fall in several
-    closures.  A point sitting exactly on a constraint boundary can round to
-    a residual a few ulps below zero, so it is backed off until both types
-    believe it: while type A rejects, n_B moves toward 0, else while type B
-    rejects, n_A does, by 1, 2, 4, ... ulps (doubling each iteration, at
-    most 64).  Only points inside their case's closure are tested, and after
-    the first test only the points the last iteration moved are tested
-    again.  Of the believed points the one of maximal quality wins, the
-    first in table order on exact quality ties.  Raises NoFeasibleEncoding
-    if a solved row has no believed point.
+    closures.  Only solved rows are cased, and their candidates form one
+    flat list of (cell, case) pairs, cell-major, so each cell's candidates
+    are contiguous and in table order; a point is computed only for its own
+    case.  A point sitting exactly on a constraint boundary can round to a
+    residual a few ulps below zero, so the points both types do not believe
+    at once are backed off by `_nudge`.  Within each cell's run of
+    candidates the believed point of maximal quality wins, the first in
+    table order on exact quality ties.  Raises NoFeasibleEncoding if a
+    solved row has no believed point.
     """
     p = np.ascontiguousarray(np.asarray(params, dtype=float).T)
     _, _, dI_A, dO_A, _, _, dI_B, dO_B = p
@@ -165,59 +195,54 @@ def solve_batch(params: np.ndarray) -> BatchEquilibrium:
             & ~np.isnan(k_A)
             & ~np.isnan(k_B)
         )
-        inv_B = 1.0 / k_B
-        one, zero = np.ones_like(k_A), np.zeros_like(k_A)
-        # Closure of each case in CASE_LABELS order, and its (n_A, n_B) point.
-        applies = solved & np.stack([
-            (k_A <= 0.0) & (k_B <= 0.0),
-            (k_B >= k_A) & (k_A >= 0.0),
-            (0.0 <= k_A) & (k_A <= 1.0) & (k_A >= k_B),
-            (k_A >= 1.0) & (1.0 >= k_B),
-            (k_A >= k_B) & (k_B >= 1.0),
-            (k_B >= 0.0) & (0.0 >= k_A),
-        ])
-        n_A = np.stack(
-            [one, zero, one, one, inv_B,
-             np.where(k_B > 0.0, np.minimum(1.0, inv_B), 1.0)]
-        )
-        n_B = np.stack([one, zero, k_A, one, one, one])
-    # Points outside their closure become (0, 0) and are never tested.
-    n_A = np.where(applies, n_A, 0.0)
-    n_B = np.where(applies, n_B, 0.0)
+    (rows,) = np.nonzero(solved)
+    kA, kB = k_A[rows], k_B[rows]
+    # Closure of each case in CASE_LABELS order, one row per solved cell;
+    # its flat nonzero positions are the (cell, case) pairs, cell-major.
+    closure = np.stack([
+        (kA <= 0.0) & (kB <= 0.0),
+        (kB >= kA) & (kA >= 0.0),
+        (0.0 <= kA) & (kA <= 1.0) & (kA >= kB),
+        (kA >= 1.0) & (1.0 >= kB),
+        (kA >= kB) & (kB >= 1.0),
+        (kB >= 0.0) & (0.0 >= kA),
+    ], axis=1)
+    cell, case = np.divmod(np.flatnonzero(closure), len(CASE_LABELS))
+    kA, kB = kA[cell], kB[cell]
+    # Each candidate's point for its own case: (1, 1), (0, 0), (1, k_A),
+    # (1, 1), (1/k_B, 1) and (min(1, 1/k_B), 1), which is 1 at k_B = 0.
+    with np.errstate(divide="ignore"):
+        a = np.where(case >= 4, np.minimum(1.0, 1.0 / kB), case != 1)
+    b = np.where(case == 2, kA, case != 1)
 
-    # The points inside, as flat (case, cell) pairs.
-    cand, cell = np.nonzero(applies)
-    pts = p[:, cell]
-    a, b = n_A[cand, cell], n_B[cand, cell]
+    pts = np.take(p, rows[cell], axis=1)
     bel_A, bel_B = believes((1.0, 1.0, a, b), pts)
-    for step in range(_NUDGE_STEPS):
-        lower_B = ~bel_A & (b > 0.0)
-        lower_A = ~lower_B & ~bel_B & (a > 0.0)
-        (moved,) = np.nonzero(lower_A | lower_B)
-        if not len(moved):
-            break
-        b[lower_B] = _ulps_down(b[lower_B], 2.0**step)
-        a[lower_A] = _ulps_down(a[lower_A], 2.0**step)
-        bel_A[moved], bel_B[moved] = believes(
-            (1.0, 1.0, a[moved], b[moved]), pts[:, moved]
-        )
-    n_A[cand, cell], n_B[cand, cell] = a, b
-    feasible = np.zeros_like(applies)
-    feasible[cand, cell] = bel_A & bel_B
+    ok = bel_A & bel_B
+    (rejected,) = np.nonzero(~ok)
+    a_r, b_r = a[rejected], b[rejected]
+    ok[rejected] = _nudge(
+        a_r, b_r, pts[:, rejected], bel_A[rejected], bel_B[rejected]
+    )
+    a[rejected], b[rejected] = a_r, b_r
 
-    if (solved & ~feasible.any(axis=0)).any():
-        raise NoFeasibleEncoding("no analytic candidate is feasible")
-    q = 2.0 + n_A + n_B
-    case = np.where(feasible, q, -np.inf).argmax(axis=0)
-    cells = np.arange(len(case))
+    n_A, n_B = np.zeros_like(k_A), np.zeros_like(k_A)
+    best_case = np.zeros(len(k_A), dtype=np.intp)
+    if len(rows):
+        q = np.where(ok, 2.0 + a + b, -np.inf)
+        best = np.maximum.reduceat(q, np.flatnonzero(_run_starts(cell)))
+        if len(best) < len(rows) or best.min() == -np.inf:
+            raise NoFeasibleEncoding("no analytic candidate is feasible")
+        (top,) = np.nonzero(q == best[cell])
+        win = top[_run_starts(cell[top])]
+        best_case[rows], n_A[rows], n_B[rows] = case[win], a[win], b[win]
     return BatchEquilibrium(
         solved=solved,
         k_A=k_A,
         k_B=k_B,
-        case=case,
-        n_A=n_A[case, cells],
-        n_B=n_B[case, cells],
-        quality=q[case, cells],
+        case=best_case,
+        n_A=n_A,
+        n_B=n_B,
+        quality=2.0 + n_A + n_B,
     )
 
 

@@ -223,6 +223,19 @@ GRIDS = {
         {}, [("delta_O_A", 0.0, 6.0, 81), ("delta_O_B", 0.0, 6.0, 61)], False,
         {"several blocks", "AssumptionViolated"},
     ),
+    # k_A = 1/(delta_O_A - 0.5) and k_B = delta_O_B - 0.5 land exactly on
+    # 0, 1, infinity and on each other, so cells lie on several closures.
+    "closure-ties": (
+        {"lambda_a_A": 0.5, "lambda_s_A": 1.0, "delta_I_A": 0.5,
+         "lambda_a_B": 0.5, "lambda_s_B": 1.0, "delta_I_B": 0.5},
+        [("delta_O_A", 0.0, 4.0, 17), ("delta_O_B", 0.0, 4.0, 17)], False,
+        {"inf", "k_A=1", "k_B=1", "k_B=0", "k_A=k_B", "several closures"},
+    ),
+    # Its first two delta_O_A rows, 4098 cells, violate the restriction.
+    "first-block-skipped": (
+        {}, [("delta_O_A", 0.0, 2.0, 5), ("delta_O_B", 0.0, 4.0, 2049)], False,
+        {"first block skipped", "several blocks", "AssumptionViolated"},
+    ),
 }
 
 
@@ -241,14 +254,24 @@ def test_sweep_matches_reference(name, tmp_path):
     assert cells_of(result, result.skipped) == skipped
 
     seen = reasons | {rec.case for rec in records}
-    if any(rec.k_A == math.inf for rec in records):
-        seen.add("inf")
+    for feature, holds in {
+        "inf": lambda rec: rec.k_A == math.inf,
+        "k_A=1": lambda rec: rec.k_A == 1.0,
+        "k_B=1": lambda rec: rec.k_B == 1.0,
+        "k_B=0": lambda rec: rec.k_B == 0.0,
+        "k_A=k_B": lambda rec: rec.k_A == rec.k_B,
+        "several closures": lambda rec: len(reference_candidates(rec.k_A, rec.k_B)) > 1,
+    }.items():
+        if any(map(holds, records)):
+            seen.add(feature)
     if any(str(rec.axis1) == "-0.0" for rec in records):
         seen.add("-0")
     if len(axes) == 1:
         seen.add("1-D")
     if len(records) + len(result.skipped) > _SWEEP_BLOCK:
         seen.add("several blocks")
+    if np.isin(np.arange(_SWEEP_BLOCK), result.skipped).all():
+        seen.add("first block skipped")
     assert features <= seen
 
     ours, theirs = tmp_path / "batch.csv", tmp_path / "reference.csv"
