@@ -253,6 +253,15 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _config_int(where: str, name: str, value, minimum: int) -> int:
+    """A config count as given: a JSON integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{where} {name!r} must be an integer, got {value!r}")
+    if value < minimum:
+        raise UsageError(f"{where} {name!r} must be >= {minimum}, got {value}")
+    return value
+
+
 def _sweep_spec_from_config(config: RunConfig) -> SweepSpec:
     if config.sweep is None:
         raise UsageError("config is missing the 'sweep' block")
@@ -269,21 +278,21 @@ def _sweep_spec_from_config(config: RunConfig) -> SweepSpec:
                 name=str(raw["name"]),
                 lo=float(raw["lo"]),
                 hi=float(raw["hi"]),
-                resolution=int(raw["resolution"]),
+                resolution=_config_int(
+                    "sweep axis", "resolution", raw.get("resolution"), minimum=2
+                ),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise UsageError(f"bad sweep axis: {exc}") from exc
-        if axis.resolution < 2:
-            raise UsageError(
-                f"sweep axis {axis.name!r} needs resolution >= 2, "
-                f"got {axis.resolution}"
-            )
         axes.append(axis)
+    simplex = config.sweep.get("simplex_constrained", False)
+    if not isinstance(simplex, bool):
+        raise UsageError(
+            f"sweep 'simplex_constrained' must be true or false, got {simplex!r}"
+        )
     try:
         return SweepSpec(
-            base=config.population,
-            axes=tuple(axes),
-            simplex_constrained=bool(config.sweep.get("simplex_constrained", False)),
+            base=config.population, axes=tuple(axes), simplex_constrained=simplex
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -332,21 +341,14 @@ def cmd_sweep(args) -> int:
     return exit_code
 
 
-def _simulate_int(name: str, value, minimum: int) -> int:
-    """A simulate-block count as given: a JSON integer (not a bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"simulate {name!r} must be an integer, got {value!r}")
-    if value < minimum:
-        raise UsageError(f"simulate {name!r} must be >= {minimum}, got {value}")
-    return value
-
-
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     if config.simulate is None:
         raise UsageError("config is missing the 'simulate' block")
-    N = _simulate_int("N", config.simulate.get("N"), minimum=1)
-    seed = _simulate_int("seed", config.simulate.get("seed", args.seed), minimum=0)
+    N = _config_int("simulate", "N", config.simulate.get("N"), minimum=1)
+    seed = _config_int(
+        "simulate", "seed", config.simulate.get("seed", args.seed), minimum=0
+    )
     result = closed_form_equilibrium(config.population)
     accuracy, std_error = monte_carlo_accuracy(
         result.strategy, config.population, N, seed

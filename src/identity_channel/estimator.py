@@ -28,7 +28,11 @@ _BOUNDARY_BIAS = 1e-14
 
 
 class InvalidResolution(ValueError):
-    """Raised for a non-positive resolution or one at least the search bound."""
+    """A resolution or search bound the bisection cannot use.
+
+    Raised for a non-positive resolution, one at least the search bound, or
+    a search bound that is not a finite number above 1.
+    """
 
 
 class BelieveOracle(Protocol):
@@ -157,9 +161,10 @@ def estimate_k(
     it, in at most ceil(log2(M/delta)) + 1 queries.  A side that always believes
     drives the estimate to M; a side-B parameter below zero drives it to 0.
     """
-    if not (delta > 0.0) or not (M > 1.0) or delta >= M:
+    if not (delta > 0.0) or not (1.0 < M < math.inf) or delta >= M:
         raise InvalidResolution(
-            f"need 0 < delta < M and M > 1, got delta={delta!r}, M={M!r}"
+            "need 0 < delta < M and a finite M > 1, "
+            f"got delta={delta!r}, M={M!r}"
         )
     lower, upper = 0.0, float(M)
     eta = 1.0

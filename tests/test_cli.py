@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, reports, artifacts."""
 
 import json
+import math
 
 import pytest
 
@@ -177,6 +178,19 @@ class TestEstimateCommand:
         )
         assert main(["estimate", "--config", str(path)]) == EXIT_DOMAIN_ERROR
 
+    def test_infinite_search_bound_exits_2(self, capsys, tmp_path, balanced_params):
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps(
+                {"population": balanced_params,
+                 "estimator": {"delta": 0.01, "M": math.inf}}
+            )
+        )
+        assert main(["estimate", "--config", str(path)]) == EXIT_DOMAIN_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite M" in captured.err
+
     def test_unrestricted_population_exits_2(
         self, capsys, monkeypatch, tmp_path, balanced_params
     ):
@@ -295,6 +309,36 @@ class TestSweepCommand:
         )
         out = tmp_path / "o.csv"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+
+    BAD_SWEEPS = {
+        "resolution-fraction": ({"resolution": 2.7}, {}),
+        "resolution-float": ({"resolution": 3.0}, {}),
+        "resolution-bool": ({"resolution": True}, {}),
+        "resolution-string": ({"resolution": "3"}, {}),
+        "simplex-string": ({}, {"simplex_constrained": "false"}),
+        "simplex-int": ({}, {"simplex_constrained": 1}),
+    }
+
+    @pytest.mark.parametrize(
+        "axis_fields, sweep_fields", BAD_SWEEPS.values(), ids=BAD_SWEEPS.keys()
+    )
+    def test_bad_sweep_field_usage_error(
+        self, capsys, tmp_path, balanced_params, axis_fields, sweep_fields
+    ):
+        axis = {"name": "lambda_s_A", "lo": 0.1, "hi": 0.9, "resolution": 3}
+        axis.update(axis_fields)
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps(
+                {"population": balanced_params,
+                 "sweep": {"axes": [axis], **sweep_fields}}
+            )
+        )
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
     def test_unwritable_path_exits_2(self, balanced_config):
         code = main(

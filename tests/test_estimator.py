@@ -76,6 +76,13 @@ class TestEstimateK:
         with pytest.raises(InvalidResolution):
             estimate_k(oracle, Group.A, 2e4, 1e4)
 
+    @pytest.mark.parametrize("M", [math.inf, math.nan])
+    def test_non_finite_search_bound(self, balanced_population, M):
+        # An infinite bound would report k_hat = inf after one query.
+        oracle = GroundTruthOracle(balanced_population)
+        with pytest.raises(InvalidResolution):
+            estimate_k(oracle, Group.B, 0.01, M)
+
     def test_always_believing_side_climbs_to_bound(self):
         from identity_channel.model import IdentityProfile, Population
 
