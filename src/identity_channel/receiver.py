@@ -56,14 +56,16 @@ def belief_residuals(strategy, population) -> BeliefResiduals:
     la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B = population
     acc = m_A + m_B + n_A + n_B - 2.0
 
+    # A b-message term is (1 - m) + n, so at m = 1 the lie probability
+    # enters unrounded.
     return BeliefResiduals(
         g_A_a=ls_A * (dO_A * (m_B + 1.0 - n_B) - dI_A * (m_A + 1.0 - n_A))
         + la_A * acc,
-        g_A_b=ls_A * (dI_A * (n_A + 1.0 - m_A) - dO_A * (n_B + 1.0 - m_B))
+        g_A_b=ls_A * (dI_A * ((1.0 - m_A) + n_A) - dO_A * ((1.0 - m_B) + n_B))
         + la_A * acc,
         g_B_a=ls_B * (dO_B * (m_A + 1.0 - n_A) - dI_B * (m_B + 1.0 - n_B))
         + la_B * acc,
-        g_B_b=ls_B * (dI_B * (n_B + 1.0 - m_B) - dO_B * (n_A + 1.0 - m_A))
+        g_B_b=ls_B * (dI_B * ((1.0 - m_B) + n_B) - dO_B * ((1.0 - m_A) + n_A))
         + la_B * acc,
     )
 

@@ -110,9 +110,9 @@ class TestClosedForm:
 
     def test_boundary_point_hundreds_of_ulps_from_believed(self):
         # Population 1152 of `verify --trials 10000 --seed 104845948`: k_B is
-        # about 173, and the b-residual of type B rounds n_A + 1 - m_A to
-        # multiples of 2.2e-16, about 255 ulps of n_A, so backing n_A off by
-        # single ulps never reached a believed point.
+        # about 173.  While the b-residual of type B evaluated n_A + 1 - m_A,
+        # it rounded n_A to multiples of 2.2e-16, about 255 ulps of n_A, so
+        # backing n_A off by single ulps never reached a believed point.
         pop = make_population(
             0.8572832905325746, 0.9943759072365624,
             0.09368713684178509, 0.223035029367617,

@@ -74,6 +74,16 @@ class TestResiduals:
             for value in (res.g_A_a, res.g_A_b, res.g_B_a, res.g_B_b):
                 assert value == pytest.approx(expected)
 
+    def test_b_message_lie_probability_unrounded(self):
+        # At m = 1 a b-message term is the lie probability itself, so one far
+        # below the float spacing near 1 still enters the residual.
+        profile = IdentityProfile(0.0, 1.0, 1.0, 1.0)
+        res = belief_residuals(
+            SenderStrategy(1.0, 1.0, 1e-17, 0.0), Population(profile, profile)
+        )
+        assert res.g_A_b == 1e-17
+        assert res.g_B_b == -1e-17
+
     def test_slope_in_n_B(self, balanced_population):
         # The residual is affine; its slope in n_B is lambda_a - lambda_s*dO.
         s0 = SenderStrategy(1, 1, 0.5, 0.2)
