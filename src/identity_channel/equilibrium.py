@@ -178,8 +178,8 @@ def solve_batch(params: np.ndarray) -> BatchEquilibrium:
     flat list of (cell, case) pairs, cell-major, so each cell's candidates
     are contiguous and in table order; a point is computed only for its own
     case.  A point sitting exactly on a constraint boundary can round to a
-    residual a few ulps below zero, so the points both types do not believe
-    at once are backed off by `_nudge`.  Within each cell's run of
+    residual a few ulps below zero, so the points that a type rejects at
+    the first test are backed off by `_nudge`.  Within each cell's run of
     candidates the believed point of maximal quality wins, the first in
     table order on exact quality ties.  Raises NoFeasibleEncoding if a
     solved row has no believed point.
