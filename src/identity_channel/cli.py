@@ -21,7 +21,7 @@ from .equilibrium import (
     NoFeasibleEncoding,
     check_equivalence,
     closed_form_equilibrium,
-    compare_on,
+    compare_batch,
     require_restricted,
 )
 from .estimator import (
@@ -44,6 +44,7 @@ from .experiments import (
     write_sweep_csv,
 )
 from .model import (
+    PARAM_NAMES,
     Group,
     Population,
     population_from_params,
@@ -189,38 +190,31 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.config is not None:
-        config = load_config(args.config)
-        case = compare_on(config.population)
-        max_q = case.quality_gap
-        max_coord = case.coordinate_gap
-        failures = [] if max(max_q, max_coord) <= 1e-9 else [case]
-        trials = 1
+        population = load_config(args.config).population
+        report = compare_batch([list(population_params(population).values())])
     else:
         if args.trials < 1:
             raise UsageError(f"--trials must be >= 1, got {args.trials}")
         report = check_equivalence(args.trials, args.seed)
-        max_q, max_coord = report.max_quality_gap, report.max_coordinate_gap
-        failures = list(report.failures)
-        trials = args.trials
     _print_report(
         {
-            "trials": trials,
-            "max_quality_gap": _round12(max_q),
-            "max_coordinate_gap": _round12(max_coord),
+            "trials": len(report.params),
+            "max_quality_gap": _round12(report.quality_gap.max()),
+            "max_coordinate_gap": _round12(report.coordinate_gap.max()),
             "failures": [
                 {
                     "population": {
                         k: _round12(v)
-                        for k, v in sorted(population_params(f.population).items())
+                        for k, v in sorted(zip(PARAM_NAMES, report.params[i]))
                     },
-                    "quality_gap": _round12(f.quality_gap),
-                    "coordinate_gap": _round12(f.coordinate_gap),
+                    "quality_gap": _round12(report.quality_gap[i]),
+                    "coordinate_gap": _round12(report.coordinate_gap[i]),
                 }
-                for f in failures
+                for i in report.failures
             ],
         }
     )
-    return EXIT_OK if not failures else EXIT_PROPERTY_FAILURE
+    return EXIT_OK if report.ok else EXIT_PROPERTY_FAILURE
 
 
 def cmd_estimate(args) -> int:

@@ -1,13 +1,14 @@
 """Sender-optimal encoding: closed form and an independent LP oracle.
 
-Two code paths compute the same equilibrium.  `solve_batch` evaluates the
-analytic case table on the augmented parameters (k_A, k_B) of many
-populations at once, as whole-array operations, and is restricted to
+Two code paths compute the same equilibrium, each over many populations
+at once as whole-array operations.  `solve_batch` evaluates the analytic
+case table on the augmented parameters (k_A, k_B) and is restricted to
 populations where the out-group penalty dominates the in-group penalty;
-`closed_form_equilibrium` is its one-population case.  `full_lp_oracle`
+`closed_form_equilibrium` is its one-population case.  `lp_oracle_batch`
 solves the underlying four-variable linear program by enumerating all
 candidate vertices and needs no restriction; it exists as an independent
-cross-check.
+cross-check, and `full_lp_oracle` is its one-population case.
+`compare_batch` runs both.
 """
 
 from __future__ import annotations
@@ -17,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Group, Population, SenderStrategy, population_params, quality
+from .model import (
+    PARAM_NAMES,
+    Group,
+    Population,
+    SenderStrategy,
+    population_from_params,
+    population_params,
+    quality,
+)
 from .receiver import believes
 
 
@@ -87,7 +96,7 @@ def _augmented(params):
 def augmented_params(population: Population) -> AugmentedParams:
     """Compute (k_A, k_B); degenerate all-zero receivers raise."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ks = _augmented(np.array(list(population_params(population).values())))
+        ks = _augmented(_row(population))
     for group, k in zip(Group, ks):
         if np.isnan(k):
             raise IndeterminateParams(
@@ -246,8 +255,9 @@ def solve_batch(params: np.ndarray) -> BatchEquilibrium:
     )
 
 
-def _params_rows(populations) -> np.ndarray:
-    return np.array([list(population_params(p).values()) for p in populations])
+def _row(population: Population) -> np.ndarray:
+    """The population's eight parameters in `PARAM_NAMES` order."""
+    return np.array(list(population_params(population).values()))
 
 
 def require_restricted(population: Population) -> None:
@@ -274,35 +284,25 @@ def closed_form_equilibrium(population: Population) -> EquilibriumResult:
     """
     require_restricted(population)
     augmented_params(population)  # raises for a receiver with no weights
-    return solve_batch(_params_rows([population])).result(0)
+    return solve_batch(_row(population)[None]).result(0)
 
 
-def _constraint_rows(population: Population) -> tuple[np.ndarray, np.ndarray]:
+def _constraint_rows(p) -> tuple[np.ndarray, np.ndarray]:
     """Affine belief constraints G z + c >= 0 over z = (m_A, m_B, n_A, n_B).
 
-    A type's a-message and b-message constraints share one gradient, and
-    their constants differ by 2 ls (dO - dI), so the type believes iff the
-    one with the smaller constant holds: one row per type.
+    `p` holds n populations' eight parameter columns; G is (n, 2, 4) and c
+    (n, 2).  A type's a-message and b-message constraints share one
+    gradient, and their constants differ by 2 ls (dO - dI), so the type
+    believes iff the one with the smaller constant holds: one row per type.
     """
-    pa = population.profile_A
-    pb = population.profile_B
-    la_A, ls_A = pa.accuracy_weight, pa.identity_weight
-    dI_A, dO_A = pa.in_group_penalty, pa.out_group_penalty
-    la_B, ls_B = pb.accuracy_weight, pb.identity_weight
-    dI_B, dO_B = pb.in_group_penalty, pb.out_group_penalty
-
+    la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B = p
     row_A = [la_A - ls_A * dI_A, la_A + ls_A * dO_A, la_A + ls_A * dI_A,
              la_A - ls_A * dO_A]
     row_B = [la_B + ls_B * dO_B, la_B - ls_B * dI_B, la_B - ls_B * dO_B,
              la_B + ls_B * dI_B]
-    G = np.array([row_A, row_B], dtype=float)
-    c = np.array(
-        [
-            -ls_A * abs(dO_A - dI_A) - 2.0 * la_A,
-            -ls_B * abs(dO_B - dI_B) - 2.0 * la_B,
-        ],
-        dtype=float,
-    )
+    G = np.stack([np.stack(row_A, axis=-1), np.stack(row_B, axis=-1)], axis=1)
+    c = np.stack([-ls_A * np.abs(dO_A - dI_A) - 2.0 * la_A,
+                  -ls_B * np.abs(dO_B - dI_B) - 2.0 * la_B], axis=-1)
     return G, c
 
 
@@ -320,144 +320,149 @@ _ACTIVE_COMBOS = np.array(
 
 _FEAS_TOL = 1e-9
 
+#: Populations per block of `lp_oracle_batch`, whose working arrays (104
+#: 4x4 systems per population) are then a few MB whatever N is.
+_LP_BLOCK = 256
+
+
+def lp_oracle_batch(params) -> np.ndarray:
+    """Maximal-quality encodings both receiver types believe, per population.
+
+    `params` has shape (N, 8), columns in `PARAM_NAMES` order; returns the
+    (N, 4) strategies (m_A, m_B, n_A, n_B), NaN where none is believed.
+    Each population's 104 vertex systems take four of its two belief
+    hyperplanes and eight box faces, never both faces of one coordinate.
+    The nondegenerate ones are solved and kept if feasible at tolerance
+    1e-9; the maximal-quality vertex wins, the lexicographically smallest
+    on exact ties.  Runs `_LP_BLOCK` rows at a time, each row on its own.
+    Deliberately shares no code with the closed form.
+    """
+    p = np.asarray(params, dtype=float)
+    out = np.full((len(p), 4), np.nan)
+    for start in range(0, len(p), _LP_BLOCK):
+        _lp_block(p[start:start + _LP_BLOCK], out[start:start + _LP_BLOCK])
+    return out
+
+
+def _lp_block(p: np.ndarray, out: np.ndarray) -> None:
+    G, c = _constraint_rows(p.T)
+    n = len(G)
+    eye = np.broadcast_to(np.eye(4), (n, 4, 4))
+    rows = np.concatenate([G, eye, eye], axis=1)
+    rhs = np.concatenate([-c, np.zeros((n, 4)), np.ones((n, 4))], axis=1)
+    A = np.take(rows, _ACTIVE_COMBOS, axis=1).reshape(-1, 4, 4)
+    b = np.take(rhs, _ACTIVE_COMBOS, axis=1).reshape(-1, 4)
+    dets = np.linalg.det(A)
+    # Hadamard-style scale so near-singular detection is size-independent.
+    scale = np.prod(np.linalg.norm(A, axis=2), axis=1)
+    (solvable,) = np.nonzero(np.abs(dets) > 1e-12 * np.maximum(scale, 1e-300))
+    pop = solvable // len(_ACTIVE_COMBOS)
+    z = np.linalg.solve(A[solvable], b[solvable][..., None])[..., 0]
+
+    in_box = ((z >= -_FEAS_TOL) & (z <= 1.0 + _FEAS_TOL)).all(axis=1)
+    # One (104, 4) @ (4, 2) product per population, as for a lone one: how
+    # the product rounds depends on its shape, and feasibility at the 1e-9
+    # tolerance on the rounding.
+    padded = np.zeros((len(A), 4))
+    padded[solvable] = z
+    products = padded.reshape(n, -1, 4) @ G.transpose(0, 2, 1)
+    residuals = products.reshape(-1, 2)[solvable] + c[pop]
+    feasible = in_box & (residuals >= -_FEAS_TOL).all(axis=1)
+
+    z, pop = np.clip(z[feasible], 0.0, 1.0), pop[feasible]
+    order = np.lexsort((z[:, 3], z[:, 2], z[:, 1], z[:, 0], -z.sum(axis=1), pop))
+    best = order[_run_starts(pop[order])]
+    out[pop[best]] = z[best]
+
 
 def full_lp_oracle(population: Population) -> LpSolution:
     """Maximize quality over all encodings both receiver types believe.
 
-    Enumerates every choice of four active constraints out of the two
-    belief hyperplanes and eight box faces that never takes both faces of
-    one coordinate (104 systems), solves the nondegenerate ones, filters
-    by feasibility at tolerance 1e-9, and returns the maximal-quality
-    vertex (lexicographically smallest strategy on exact quality ties).
-    Deliberately shares no code with the closed form.
+    The one-population case of `lp_oracle_batch`; raises
+    NoFeasibleEncoding where no vertex is believed.  Needs no restriction.
     """
-    G, c = _constraint_rows(population)
-    rows = np.vstack([G, np.eye(4), np.eye(4)])
-    rhs = np.concatenate([-c, np.zeros(4), np.ones(4)])
-
-    A = rows[_ACTIVE_COMBOS]
-    b = rhs[_ACTIVE_COMBOS]
-    dets = np.linalg.det(A)
-    # Hadamard-style scale so near-singular detection is size-independent.
-    scale = np.prod(np.linalg.norm(A, axis=2), axis=1)
-    solvable = np.abs(dets) > 1e-12 * np.maximum(scale, 1e-300)
-    if not solvable.any():
-        raise NoFeasibleEncoding("all candidate systems are degenerate")
-
-    z = np.linalg.solve(A[solvable], b[solvable][..., None])[..., 0]
-
-    in_box = ((z >= -_FEAS_TOL) & (z <= 1.0 + _FEAS_TOL)).all(axis=1)
-    residuals = z @ G.T + c
-    feasible = in_box & (residuals >= -_FEAS_TOL).all(axis=1)
-    if not feasible.any():
+    z = lp_oracle_batch(_row(population)[None])[0]
+    if np.isnan(z[0]):
         raise NoFeasibleEncoding("no vertex satisfies the belief constraints")
-
-    z = np.clip(z[feasible], 0.0, 1.0)
-    q = z.sum(axis=1)
-    order = np.lexsort((z[:, 3], z[:, 2], z[:, 1], z[:, 0], -q))
-    best = order[0]
-    strategy = SenderStrategy(*(float(v) for v in z[best]))
+    strategy = SenderStrategy(*(float(v) for v in z))
     return LpSolution(strategy=strategy, quality=quality(strategy))
 
 
-@dataclass(frozen=True)
-class EquivalenceCase:
-    """One closed-form vs LP-oracle comparison."""
-
-    population: Population
-    closed: EquilibriumResult
-    lp: LpSolution
-
-    @property
-    def quality_gap(self) -> float:
-        return abs(self.closed.quality - self.lp.quality)
-
-    @property
-    def coordinate_gap(self) -> float:
-        s, t = self.closed.strategy, self.lp.strategy
-        return max(
-            abs(s.m_A - t.m_A),
-            abs(s.m_B - t.m_B),
-            abs(s.n_A - t.n_A),
-            abs(s.n_B - t.n_B),
-        )
+#: Largest quality or coordinate gap between the solvers that passes.
+GAP_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    cases: tuple[EquivalenceCase, ...]
-    tolerance: float = 1e-9
+    """Closed form vs LP oracle on N populations, one row each.
+
+    `params` holds the parameters in `PARAM_NAMES` order, `closed` and `lp`
+    the two strategies as (m_A, m_B, n_A, n_B).
+    """
+
+    params: np.ndarray
+    closed: np.ndarray
+    lp: np.ndarray
+    quality_gap: np.ndarray
+    coordinate_gap: np.ndarray
 
     @property
-    def max_quality_gap(self) -> float:
-        return max((c.quality_gap for c in self.cases), default=0.0)
-
-    @property
-    def max_coordinate_gap(self) -> float:
-        return max((c.coordinate_gap for c in self.cases), default=0.0)
-
-    @property
-    def failures(self) -> tuple[EquivalenceCase, ...]:
-        return tuple(
-            c
-            for c in self.cases
-            if c.quality_gap > self.tolerance or c.coordinate_gap > self.tolerance
-        )
+    def failures(self) -> np.ndarray:
+        """Indices of the rows with a gap above `GAP_TOLERANCE`."""
+        gap = np.maximum(self.quality_gap, self.coordinate_gap)
+        return np.flatnonzero(gap > GAP_TOLERANCE)
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not len(self.failures)
+
+
+def compare_batch(params) -> EquivalenceReport:
+    """Run both solvers on populations given as rows of their parameters.
+
+    If either solver fails on a row, the first such row goes through the
+    one-population solvers, which raise the closed form's typed error
+    before the LP oracle's.
+    """
+    params = np.asarray(params, dtype=float)
+    closed = solve_batch(params)
+    lp = lp_oracle_batch(params)
+    (bad,) = np.nonzero(~closed.solved | np.isnan(lp[:, 0]))
+    if len(bad):
+        population = population_from_params(dict(zip(PARAM_NAMES, params[bad[0]])))
+        closed_form_equilibrium(population)
+        full_lp_oracle(population)
+    strategy = np.column_stack([np.ones((len(lp), 2)), closed.n_A, closed.n_B])
+    return EquivalenceReport(
+        params=params,
+        closed=strategy,
+        lp=lp,
+        quality_gap=np.abs(closed.quality - lp.sum(axis=1)),
+        coordinate_gap=np.abs(strategy - lp).max(axis=1),
+    )
+
+
+def random_restricted_params(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Parameter rows of n populations satisfying the penalty restriction.
+
+    Per type: weights uniform on [0, 1], in-group penalty uniform on
+    [0, 2], out-group penalty the in-group value plus uniform [0, 3].  The
+    draws are the same as n calls of `random_restricted_population`.
+    """
+    u = rng.random((n, 2, 4))
+    d_in = 2.0 * u[..., 0]
+    rows = np.stack([u[..., 1], u[..., 2], d_in, d_in + 3.0 * u[..., 3]], axis=2)
+    return rows.reshape(n, 8)
 
 
 def random_restricted_population(rng: np.random.Generator) -> Population:
-    """Draw a population satisfying the penalty-ordering restriction.
-
-    Weights are uniform on [0, 1], in-group penalties uniform on [0, 2],
-    out-group penalties the in-group value plus uniform [0, 3].
-    """
-    from .model import IdentityProfile
-
-    def draw() -> IdentityProfile:
-        d_in = 2.0 * rng.random()
-        return IdentityProfile(
-            accuracy_weight=rng.random(),
-            identity_weight=rng.random(),
-            in_group_penalty=d_in,
-            out_group_penalty=d_in + 3.0 * rng.random(),
-        )
-
-    return Population(profile_A=draw(), profile_B=draw())
+    """One population drawn as by `random_restricted_params`."""
+    row = random_restricted_params(rng, 1)[0]
+    return population_from_params(dict(zip(PARAM_NAMES, row)))
 
 
 def check_equivalence(trials: int, seed: int) -> EquivalenceReport:
-    """Compare closed form and LP oracle on random restricted populations.
-
-    The closed form solves all populations in one batch.
-    """
+    """Compare closed form and LP oracle on random restricted populations."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    populations = [random_restricted_population(rng) for _ in range(trials)]
-    batch = solve_batch(_params_rows(populations))
-    return EquivalenceReport(
-        cases=tuple(
-            EquivalenceCase(
-                population=population,
-                # An unsolved population raises its typed error here.
-                closed=batch.result(i)
-                if batch.solved[i]
-                else closed_form_equilibrium(population),
-                lp=full_lp_oracle(population),
-            )
-            for i, population in enumerate(populations)
-        )
-    )
-
-
-def compare_on(population: Population) -> EquivalenceCase:
-    """Run both solvers on one population."""
-    return EquivalenceCase(
-        population=population,
-        closed=closed_form_equilibrium(population),
-        lp=full_lp_oracle(population),
-    )
+    return compare_batch(random_restricted_params(np.random.default_rng(seed), trials))

@@ -104,17 +104,17 @@ class TestAcceptance:
         assert report(3, code == 0, f"exit code {code}")
 
     def test_criterion_4_structural_theorems(self, equivalence_10k):
-        violations = 0
-        for case in equivalence_10k.cases:
-            closed, lp = case.closed, case.lp
-            if closed.strategy.m_A != 1.0 or closed.strategy.m_B != 1.0:
-                violations += 1
-            elif closed.quality < 2.0 - 1e-12:
-                violations += 1
-            elif believes(closed.strategy, case.population) != (True, True):
-                violations += 1
-            elif lp.strategy.n_B > 0.0 and abs(lp.strategy.m_A - 1.0) > 1e-9:
-                violations += 1
+        closed, lp = equivalence_10k.closed, equivalence_10k.lp
+        quality = closed[:, 0] + closed[:, 1] + closed[:, 2] + closed[:, 3]
+        bel_A, bel_B = believes(closed.T, equivalence_10k.params.T)
+        violation = (
+            (closed[:, 0] != 1.0)
+            | (closed[:, 1] != 1.0)
+            | (quality < 2.0 - 1e-12)
+            | ~(bel_A & bel_B)
+            | ((lp[:, 3] > 0.0) & (np.abs(lp[:, 0] - 1.0) > 1e-9))
+        )
+        violations = int(violation.sum())
         assert report(
             4, violations == 0, f"{violations} violations over 10000 populations"
         )

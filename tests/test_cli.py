@@ -143,6 +143,26 @@ class TestVerifyCommand:
         assert captured.err.startswith("error: ")
 
 
+    def test_config_unrestricted_population_exits_2(
+        self, capsys, tmp_path, balanced_params
+    ):
+        # Type A has delta_I > delta_O.  The LP oracle solves it, but the
+        # closed form's error comes first.
+        params = dict(
+            balanced_params,
+            lambda_a_A=0.1,
+            lambda_s_A=1.0,
+            delta_I_A=3.0,
+            delta_O_A=1.0,
+        )
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"population": params}))
+        assert main(["verify", "--config", str(path)]) == EXIT_DOMAIN_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "type A" in captured.err
+
+
 class TestEstimateCommand:
     def test_example_report(self, capsys, balanced_config):
         code, report = run_json(capsys, ["estimate", "--config", balanced_config])

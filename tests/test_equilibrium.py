@@ -1,24 +1,60 @@
 """Tests for the closed-form equilibrium and the independent LP oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from identity_channel import equilibrium
 from identity_channel.equilibrium import (
+    _LP_BLOCK,
     AssumptionViolated,
     IndeterminateParams,
     NoFeasibleEncoding,
     augmented_params,
     check_equivalence,
     closed_form_equilibrium,
-    compare_on,
+    compare_batch,
     full_lp_oracle,
+    lp_oracle_batch,
+    random_restricted_params,
     random_restricted_population,
-    solve_batch,
 )
-from identity_channel.model import IdentityProfile, Population, population_params
+from identity_channel.model import (
+    PARAM_NAMES,
+    IdentityProfile,
+    Population,
+    population_from_params,
+    population_params,
+)
 from identity_channel.receiver import belief_residuals, believes
+
+
+BALANCED = {
+    "lambda_a_A": 0.55, "lambda_s_A": 0.45, "delta_I_A": 1.0, "delta_O_A": 2.0,
+    "lambda_a_B": 0.55, "lambda_s_B": 0.45, "delta_I_B": 1.0, "delta_O_B": 3.5,
+}
+# Restricted, and the closed form solves it (Q = 2), but at these scales the
+# LP oracle's absolute 1e-9 tolerance finds no believed vertex.
+WIDE_RANGE = {
+    "lambda_a_A": 1502063.5125848716,
+    "lambda_s_A": 200898296.5778057,
+    "delta_I_A": 1.9039177785812147e-09,
+    "delta_O_A": 875121.2011196348,
+    "lambda_a_B": 0.1887004702975436,
+    "lambda_s_B": 6.625242742900015e-05,
+    "delta_I_B": 420019.12047061854,
+    "delta_O_B": 192058681.4687015,
+}
+# Type A has delta_I > delta_O; the LP oracle solves it.
+UNRESTRICTED = dict(
+    BALANCED, lambda_a_A=0.1, lambda_s_A=1.0, delta_I_A=3.0, delta_O_A=1.0
+)
+
+
+def row(params):
+    return [params[name] for name in PARAM_NAMES]
 
 
 def make_population(la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B):
@@ -178,35 +214,98 @@ class TestLpOracle:
                 assert abs(full_lp_oracle(pop).quality + highs.fun) <= 1e-9
         assert 0 < infeasible < 300
 
+    def test_batch_matches_scalar_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        unrestricted = np.concatenate(
+            [rng.random((30, 2, 2)), 3.0 * rng.random((30, 2, 2))], axis=2
+        ).reshape(30, 8)
+        params = np.vstack([
+            random_restricted_params(rng, 30),
+            unrestricted,
+            10.0 ** rng.uniform(-12, 12, (10, 8)),
+            [row(WIDE_RANGE), row(UNRESTRICTED), row(BALANCED)],
+            [[0.5, 0.0, 1, 2, 0.5, 0.0, 1, 2], [0.0, 0.0, 1, 2, 0.5, 0.45, 1, 3.5]],
+        ])
+        monkeypatch.setattr(equilibrium, "_LP_BLOCK", 7)  # blocks split the rows
+        batch = lp_oracle_batch(params)
+        monkeypatch.undo()
+        assert np.isnan(batch[:, 0]).any() and not np.isnan(batch[:, 0]).all()
+        for p, z in zip(params, batch):
+            population = population_from_params(dict(zip(PARAM_NAMES, p)))
+            if np.isnan(z[0]):
+                assert np.isnan(z).all()
+                with pytest.raises(NoFeasibleEncoding):
+                    full_lp_oracle(population)
+                continue
+            s = full_lp_oracle(population).strategy
+            scalar = np.array([s.m_A, s.m_B, s.n_A, s.n_B])
+            assert scalar.tobytes() == z.tobytes()
+        assert np.isnan(batch[len(params) - 5]).all()  # WIDE_RANGE
+
+    def test_batch_memory_bounded_in_rows(self):
+        def peak_traced_bytes(n):
+            params = random_restricted_params(np.random.default_rng(3), n)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                lp_oracle_batch(params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_traced_bytes(1)  # first-call set-up
+        one_block = peak_traced_bytes(_LP_BLOCK)
+        eight_blocks = peak_traced_bytes(8 * _LP_BLOCK)
+        # Only the (N, 4) result grows with N.  A block's working arrays take
+        # ~40 kB per population; keeping one system's worth per row would
+        # add 832 bytes a row.
+        assert eight_blocks <= one_block + 32 * 7 * _LP_BLOCK + 64 * 1024
+
 
 class TestEquivalence:
     def test_random_equivalence(self):
         report = check_equivalence(300, seed=20240824)
         assert report.ok, report.failures[:3]
-        assert report.max_quality_gap <= 1e-9
-        assert report.max_coordinate_gap <= 1e-9
+        assert report.quality_gap.max() <= 1e-9
+        assert report.coordinate_gap.max() <= 1e-9
 
-    def test_compare_on_single(self, balanced_population):
-        case = compare_on(balanced_population)
-        assert case.quality_gap <= 1e-9
-        assert case.coordinate_gap <= 1e-9
+    def test_compare_batch_single(self, balanced_population):
+        report = compare_batch([list(population_params(balanced_population).values())])
+        assert report.quality_gap[0] <= 1e-9
+        assert report.coordinate_gap[0] <= 1e-9
+        assert report.ok
+
+    def test_draws_match_single_population_draws(self):
+        params = random_restricted_params(np.random.default_rng(5), 50)
+        rng = np.random.default_rng(5)
+        for row in params:
+            population = random_restricted_population(rng)
+            assert list(population_params(population).values()) == row.tolist()
+
+    def test_first_failing_row_raises_closed_form_error_first(self):
+        params = np.array([
+            row(BALANCED),
+            row(WIDE_RANGE),
+            row(UNRESTRICTED),
+        ])
+        with pytest.raises(NoFeasibleEncoding):
+            compare_batch(params)
+        with pytest.raises(AssumptionViolated, match="type A"):
+            compare_batch(params[[0, 2, 1]])
+        # An unrestricted row whose LP also fails: the closed form's error.
+        both = dict(WIDE_RANGE, delta_I_A=1e9)
+        with pytest.raises(NoFeasibleEncoding):
+            full_lp_oracle(population_from_params(both))
+        with pytest.raises(AssumptionViolated, match="type A"):
+            compare_batch([row(both)])
 
     def test_structural_properties_random(self):
-        rng = np.random.default_rng(99)
-        pops = [random_restricted_population(rng) for _ in range(300)]
-        batch = solve_batch(
-            np.array([list(population_params(p).values()) for p in pops])
-        )
-        for i, pop in enumerate(pops):
-            if not batch.solved[i]:
-                with pytest.raises(IndeterminateParams):
-                    closed_form_equilibrium(pop)
-                continue
-            result = batch.result(i)
-            assert result.strategy.m_A == 1.0
-            assert result.strategy.m_B == 1.0
-            assert 2.0 - 1e-12 <= result.quality <= 4.0
-            assert believes(result.strategy, pop) == (True, True)
-            lp = full_lp_oracle(pop)
-            if lp.strategy.n_B > 0.0:
-                assert lp.strategy.m_A == pytest.approx(1.0, abs=1e-9)
+        report = compare_batch(random_restricted_params(np.random.default_rng(99), 300))
+        closed, lp = report.closed, report.lp
+        assert (closed[:, :2] == 1.0).all()
+        quality = closed[:, 0] + closed[:, 1] + closed[:, 2] + closed[:, 3]
+        assert (quality >= 2.0 - 1e-12).all() and (quality <= 4.0).all()
+        bel_A, bel_B = believes(closed.T, report.params.T)
+        assert bel_A.all() and bel_B.all()
+        lies_to_B = lp[:, 3] > 0.0
+        assert (np.abs(lp[lies_to_B, 0] - 1.0) <= 1e-9).all()
