@@ -221,8 +221,8 @@ def cmd_estimate(args) -> int:
     config = load_config(args.config)
     if config.estimator is None:
         raise UsageError("config is missing the 'estimator' block")
-    delta = float(config.estimator.get("delta", 0.0))
-    M = float(config.estimator.get("M", DEFAULT_SEARCH_BOUND))
+    delta = _config_real("estimator", "delta", config.estimator.get("delta", 0.0))
+    M = _config_real("estimator", "M", config.estimator.get("M", DEFAULT_SEARCH_BOUND))
     # Bisection announces m_A = m_B = 1, optimal only under the restriction.
     require_restricted(config.population)
     oracle = GroundTruthOracle(config.population)
@@ -256,6 +256,16 @@ def _config_int(where: str, name: str, value, minimum: int) -> int:
     return value
 
 
+def _config_real(where: str, name: str, value) -> float:
+    """A config real as given: a JSON number (not a bool), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{where} {name!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise UsageError(f"{where} {name!r} is out of range: {exc}") from exc
+
+
 def _sweep_spec_from_config(config: RunConfig) -> SweepSpec:
     if config.sweep is None:
         raise UsageError("config is missing the 'sweep' block")
@@ -270,8 +280,8 @@ def _sweep_spec_from_config(config: RunConfig) -> SweepSpec:
         try:
             axis = SweepAxis(
                 name=str(raw["name"]),
-                lo=float(raw["lo"]),
-                hi=float(raw["hi"]),
+                lo=_config_real("sweep axis", "lo", raw["lo"]),
+                hi=_config_real("sweep axis", "hi", raw["hi"]),
                 resolution=_config_int(
                     "sweep axis", "resolution", raw.get("resolution"), minimum=2
                 ),

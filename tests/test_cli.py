@@ -198,6 +198,39 @@ class TestEstimateCommand:
         )
         assert main(["estimate", "--config", str(path)]) == EXIT_DOMAIN_ERROR
 
+    BAD_ESTIMATORS = {
+        "delta-string": {"delta": "abc"},
+        "delta-numeric-string": {"delta": "0.01"},
+        "delta-list": {"delta": [1]},
+        "delta-null": {"delta": None},
+        "M-bool": {"M": True},
+        "M-string": {"M": "100"},
+        "M-huge-int": {"M": 10**400},
+    }
+
+    @pytest.mark.parametrize(
+        "fields", BAD_ESTIMATORS.values(), ids=BAD_ESTIMATORS.keys()
+    )
+    def test_bad_estimator_field_usage_error(
+        self, capsys, monkeypatch, tmp_path, balanced_params, fields
+    ):
+        from identity_channel.estimator import GroundTruthOracle
+
+        def no_query(*args):
+            raise AssertionError("queried before the config was checked")
+
+        monkeypatch.setattr(GroundTruthOracle, "query", no_query)
+        estimator = {"delta": 0.01, "M": 100}
+        estimator.update(fields)
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps({"population": balanced_params, "estimator": estimator})
+        )
+        assert main(["estimate", "--config", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: estimator ")
+
     def test_infinite_search_bound_exits_2(self, capsys, tmp_path, balanced_params):
         path = tmp_path / "c.json"
         path.write_text(
@@ -337,6 +370,10 @@ class TestSweepCommand:
         "resolution-string": ({"resolution": "3"}, {}),
         "simplex-string": ({}, {"simplex_constrained": "false"}),
         "simplex-int": ({}, {"simplex_constrained": 1}),
+        "lo-string": ({"lo": "0.1"}, {}),
+        "hi-bool": ({"hi": True}, {}),
+        "hi-list": ({"hi": [0.9]}, {}),
+        "lo-huge-int": ({"lo": -(10**400)}, {}),
     }
 
     @pytest.mark.parametrize(
