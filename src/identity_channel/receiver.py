@@ -54,10 +54,10 @@ def belief_residuals(strategy, population) -> BeliefResiduals:
         population = population_params(population).values()
     m_A, m_B, n_A, n_B = strategy
     la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B = population
-    acc = m_A + m_B + n_A + n_B - 2.0
+    acc = (m_A + m_B - 2.0) + (n_A + n_B)
 
-    # A b-message term is (1 - m) + n, so at m = 1 the lie probability
-    # enters unrounded.
+    # The accuracy term sums the lie probabilities apart and a b-message
+    # term is (1 - m) + n, so at m = 1 each lie probability enters unrounded.
     return BeliefResiduals(
         g_A_a=ls_A * (dO_A * (m_B + 1.0 - n_B) - dI_A * (m_A + 1.0 - n_A))
         + la_A * acc,

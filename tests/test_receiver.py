@@ -84,6 +84,15 @@ class TestResiduals:
         assert res.g_A_b == 1e-17
         assert res.g_B_b == -1e-17
 
+    def test_accuracy_lie_probabilities_unrounded(self):
+        # At m = 1 the accuracy term is the sum of the lie probabilities, so
+        # ones far below the float spacing near 1 still enter every residual.
+        profile = IdentityProfile(1.0, 0.0, 1.0, 1.0)
+        res = belief_residuals(
+            SenderStrategy(1.0, 1.0, 1e-17, 3e-17), Population(profile, profile)
+        )
+        assert (res.g_A_a, res.g_A_b, res.g_B_a, res.g_B_b) == (4e-17,) * 4
+
     def test_slope_in_n_B(self, balanced_population):
         # The residual is affine; its slope in n_B is lambda_a - lambda_s*dO.
         s0 = SenderStrategy(1, 1, 0.5, 0.2)
