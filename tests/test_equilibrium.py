@@ -1,5 +1,6 @@
 """Tests for the closed-form equilibrium and the independent LP oracle."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -55,6 +56,39 @@ UNRESTRICTED = dict(
 
 def row(params):
     return [params[name] for name in PARAM_NAMES]
+
+
+def reference_lp_oracle(p):
+    """One population's LP optimum as (m_A, m_B, n_A, n_B), or None.
+
+    The vertex enumeration written for one population at a time: the same
+    rows, det, scale, solve, `z @ G.T` residuals and tie-break, which the
+    batch oracle must reproduce bit for bit.
+    """
+    la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B = p
+    G = np.array([
+        [la_A - ls_A * dI_A, la_A + ls_A * dO_A, la_A + ls_A * dI_A,
+         la_A - ls_A * dO_A],
+        [la_B + ls_B * dO_B, la_B - ls_B * dI_B, la_B - ls_B * dO_B,
+         la_B + ls_B * dI_B],
+    ])
+    c = np.array([-ls_A * abs(dO_A - dI_A) - 2.0 * la_A,
+                  -ls_B * abs(dO_B - dI_B) - 2.0 * la_B])
+    combos = np.array([
+        k for k in itertools.combinations(range(10), 4)
+        if not any(2 + i in k and 6 + i in k for i in range(4))
+    ])
+    A = np.vstack([G, np.eye(4), np.eye(4)])[combos]
+    b = np.concatenate([-c, np.zeros(4), np.ones(4)])[combos]
+    scale = np.prod(np.linalg.norm(A, axis=2), axis=1)
+    solvable = np.abs(np.linalg.det(A)) > 1e-12 * np.maximum(scale, 1e-300)
+    z = np.linalg.solve(A[solvable], b[solvable][..., None])[..., 0]
+    in_box = ((z >= -1e-9) & (z <= 1.0 + 1e-9)).all(axis=1)
+    feasible = in_box & (z @ G.T + c >= -1e-9).all(axis=1)
+    if not feasible.any():
+        return None
+    z = np.clip(z[feasible], 0.0, 1.0)
+    return z[np.lexsort((z[:, 3], z[:, 2], z[:, 1], z[:, 0], -z.sum(axis=1)))[0]]
 
 
 def make_population(la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B):
@@ -191,7 +225,7 @@ class TestLpOracle:
         optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(20240824)
         basis = tuple(np.vstack([np.zeros(4), np.eye(4)]).T)
-        infeasible = 0
+        rows, highs_quality = [], []
         for _ in range(300):
             weights = rng.random((2, 2)).tolist()
             penalties = (3.0 * rng.random((2, 2))).tolist()
@@ -206,13 +240,15 @@ class TestLpOracle:
                 method="highs",
             )
             assert highs.status in (0, 2), highs.message
-            if highs.status == 2:
-                infeasible += 1
-                with pytest.raises(NoFeasibleEncoding):
-                    full_lp_oracle(pop)
-            else:
-                assert abs(full_lp_oracle(pop).quality + highs.fun) <= 1e-9
-        assert 0 < infeasible < 300
+            rows.append(list(population_params(pop).values()))
+            highs_quality.append(-highs.fun if highs.status == 0 else np.nan)
+        # The oracle's NaN rows are where `full_lp_oracle` raises.
+        lp_quality = lp_oracle_batch(rows).sum(axis=1)
+        infeasible = np.isnan(highs_quality)
+        assert (np.isnan(lp_quality) == infeasible).all()
+        gap = np.abs(lp_quality - highs_quality)[~infeasible]
+        assert (gap <= 1e-9).all()
+        assert 0 < infeasible.sum() < 300
 
     def test_batch_matches_scalar_bitwise(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -222,7 +258,7 @@ class TestLpOracle:
         params = np.vstack([
             random_restricted_params(rng, 30),
             unrestricted,
-            10.0 ** rng.uniform(-12, 12, (10, 8)),
+            10.0 ** rng.uniform(-12, 12, (300, 8)),
             [row(WIDE_RANGE), row(UNRESTRICTED), row(BALANCED)],
             [[0.5, 0.0, 1, 2, 0.5, 0.0, 1, 2], [0.0, 0.0, 1, 2, 0.5, 0.45, 1, 3.5]],
         ])
@@ -232,14 +268,15 @@ class TestLpOracle:
         assert np.isnan(batch[:, 0]).any() and not np.isnan(batch[:, 0]).all()
         for p, z in zip(params, batch):
             population = population_from_params(dict(zip(PARAM_NAMES, p)))
-            if np.isnan(z[0]):
+            reference = reference_lp_oracle(p)
+            if reference is None:
                 assert np.isnan(z).all()
                 with pytest.raises(NoFeasibleEncoding):
                     full_lp_oracle(population)
                 continue
             s = full_lp_oracle(population).strategy
             scalar = np.array([s.m_A, s.m_B, s.n_A, s.n_B])
-            assert scalar.tobytes() == z.tobytes()
+            assert z.tobytes() == reference.tobytes() == scalar.tobytes()
         assert np.isnan(batch[len(params) - 5]).all()  # WIDE_RANGE
 
     def test_batch_memory_bounded_in_rows(self):
