@@ -345,6 +345,7 @@ def lp_oracle_batch(params) -> np.ndarray:
 
 
 def _lp_block(p: np.ndarray, out: np.ndarray) -> None:
+    """Write the `lp_oracle_batch` rows of parameter rows `p` into `out`."""
     G, c = _constraint_rows(p.T)
     n = len(G)
     eye = np.broadcast_to(np.eye(4), (n, 4, 4))
@@ -371,8 +372,8 @@ def _lp_block(p: np.ndarray, out: np.ndarray) -> None:
 
     z, pop = np.clip(z[feasible], 0.0, 1.0), pop[feasible]
     order = np.lexsort((z[:, 3], z[:, 2], z[:, 1], z[:, 0], -z.sum(axis=1), pop))
-    best = order[_run_starts(pop[order])]
-    out[pop[best]] = z[best]
+    rows, first = np.unique(pop[order], return_index=True)
+    out[rows] = z[order[first]]
 
 
 def full_lp_oracle(population: Population) -> LpSolution:
