@@ -315,16 +315,12 @@ class TestEquivalence:
     def test_draws_match_single_population_draws(self):
         params = random_restricted_params(np.random.default_rng(5), 50)
         rng = np.random.default_rng(5)
-        for row in params:
+        for p in params:
             population = random_restricted_population(rng)
-            assert list(population_params(population).values()) == row.tolist()
+            assert list(population_params(population).values()) == p.tolist()
 
     def test_first_failing_row_raises_closed_form_error_first(self):
-        params = np.array([
-            row(BALANCED),
-            row(WIDE_RANGE),
-            row(UNRESTRICTED),
-        ])
+        params = np.array([row(BALANCED), row(WIDE_RANGE), row(UNRESTRICTED)])
         with pytest.raises(NoFeasibleEncoding):
             compare_batch(params)
         with pytest.raises(AssumptionViolated, match="type A"):
