@@ -3,7 +3,8 @@
 Each criterion test evaluates exactly one criterion and prints a single
 "CRITERION n: PASS/FAIL" line before asserting, so a verbose run reads as
 a checklist.  Two further tests check analytically what criterion 5's
-delta_O_B and delta_O_A audits meet instead of its expectation.  Failing
+delta_O_B and delta_O_A audits meet instead of its expectation, and one
+checks the weight axes against the same case formulas.  Failing
 criteria reflect genuine gaps between the model's behavior and the written
 expectation; the assertions are not weakened to hide them (see the
 repository README for the known failures).
@@ -41,6 +42,18 @@ from identity_channel.model import Group, population_from_params, quality
 from identity_channel.receiver import believes
 
 SEED = 20240824
+
+#: The optimal quality in each closed-form case: Q = 3 + 1/k_B where
+#: (1, 1, 1/k_B, 1) is optimal, 3 + k_A in case 1>k_A>k_B, 4 where
+#: (1, 1, 1, 1) is believed and 2 where only the truth is.
+CASE_QUALITY = {
+    "k_A<0,k_B<0": lambda k_A, k_B: 4.0,
+    "k_B>k_A>0": lambda k_A, k_B: 2.0,
+    "1>k_A>k_B": lambda k_A, k_B: 3.0 + k_A,
+    "k_A>1>k_B": lambda k_A, k_B: 4.0,
+    "k_A>k_B>1": lambda k_A, k_B: 3.0 + 1.0 / k_B,
+    "k_B>0>k_A": lambda k_A, k_B: 3.0 + min(1.0, 1.0 / k_B),
+}
 
 
 def report(number: int, ok: bool, detail: str = "") -> bool:
@@ -199,18 +212,8 @@ class TestAcceptance:
 
     def test_quality_falls_with_delta_O_A_analytically(self, request):
         # Along delta_O_A, k_A falls from -inf through +inf to 0 while k_B
-        # stays fixed, and each solved cell's Q must be its case's formula:
-        # Q = 3 + 1/k_B where (1, 1, 1/k_B, 1) is optimal, 3 + k_A in case
-        # 1>k_A>k_B, 4 where (1, 1, 1, 1) is believed and 2 where only the
-        # truth is.  So Q never rises.  Not a criterion.
-        formula = {
-            "k_A<0,k_B<0": lambda k_A, k_B: 4.0,
-            "k_B>k_A>0": lambda k_A, k_B: 2.0,
-            "1>k_A>k_B": lambda k_A, k_B: 3.0 + k_A,
-            "k_A>1>k_B": lambda k_A, k_B: 4.0,
-            "k_A>k_B>1": lambda k_A, k_B: 3.0 + 1.0 / k_B,
-            "k_B>0>k_A": lambda k_A, k_B: 3.0 + min(1.0, 1.0 / k_B),
-        }
+        # stays fixed, and each solved cell's Q must be its case's formula
+        # (`CASE_QUALITY`).  So Q never rises.  Not a criterion.
         seen = set()
         for config in ("high_accuracy", "balanced", "low_accuracy"):
             population = request.getfixturevalue(f"{config}_population")
@@ -224,9 +227,35 @@ class TestAcceptance:
             ):
                 label = CASE_LABELS[case]
                 seen.add(label)
-                assert abs(Q - formula[label](k_A, k_B)) <= 1e-12
+                assert abs(Q - CASE_QUALITY[label](k_A, k_B)) <= 1e-12
             assert all(b <= a for a, b in zip(result.Q, result.Q[1:]))
         assert seen == set(CASE_LABELS) - {"k_A<0,k_B<0"}
+
+    @pytest.mark.parametrize("simplex_constrained", [False, True])
+    @pytest.mark.parametrize(
+        "axis", ["lambda_s_A", "lambda_a_A", "lambda_s_B", "lambda_a_B"]
+    )
+    def test_quality_follows_weights_analytically(
+        self, request, axis, simplex_constrained
+    ):
+        # The paper's headline result, checked cell by cell: each solved
+        # cell's Q is its case's formula, and Q never rises with an identity
+        # weight nor falls with an accuracy weight.  Not a criterion.
+        rises = axis.startswith("lambda_a")
+        for config in ("high_accuracy", "balanced", "low_accuracy"):
+            spec = SweepSpec(
+                base=request.getfixturevalue(f"{config}_population"),
+                axes=(SweepAxis(axis, 0.0, 1.0, 201),),
+                simplex_constrained=simplex_constrained,
+            )
+            result = run_sweep(spec)
+            assert len(result.Q) == 201
+            for case, k_A, k_B, Q in zip(
+                result.case.tolist(), result.k_A, result.k_B, result.Q
+            ):
+                assert abs(Q - CASE_QUALITY[CASE_LABELS[case]](k_A, k_B)) <= 1e-12
+            step = np.diff(result.Q)
+            assert (step >= 0.0).all() if rises else (step <= 0.0).all()
 
     def test_criterion_7_monte_carlo_identity(self, balanced_population):
         result = closed_form_equilibrium(balanced_population)

@@ -11,11 +11,14 @@ merely close.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from identity_channel import experiments
 from identity_channel.equilibrium import closed_form_equilibrium
 from identity_channel.experiments import (
     _MC_BLOCK,
@@ -161,7 +164,93 @@ def test_memory_bounded_in_N():
     strategy, population = _balanced()
     monte_carlo_accuracy(strategy, population, 1, 0)  # first-call set-up
     one_block = _peak_traced_bytes(strategy, population, B)
-    eight_blocks = _peak_traced_bytes(strategy, population, 8 * B)
-    # Later blocks may overlap the previous block's arrays by a few bytes per
-    # play; a whole-array sampler peaks at ~67 bytes per play of all N.
-    assert eight_blocks <= one_block + 4 * B
+    for blocks in (8, 64):
+        workers = min(experiments._usable_cpus(), blocks)
+        peak = _peak_traced_bytes(strategy, population, blocks * B)
+        # Each worker holds one block at a time, and a later block may
+        # overlap its worker's previous arrays by a few bytes per play; a
+        # whole-array sampler peaks at ~67 bytes per play of all N.
+        assert peak <= workers * one_block + 4 * B, (blocks, workers)
+
+
+def _started_threads(monkeypatch):
+    """Every thread started from now on, in a list that grows as they start."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_result_independent_of_worker_count(monkeypatch, cpus):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    started = _started_threads(monkeypatch)
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+    sizes = (1, B - 1, B, B + 1, 5 * B // 2, 7 * B + 3)
+    try:
+        for case in (_balanced, _middle_band):
+            strategy, population = case()
+            for N in sizes:
+                assert monte_carlo_accuracy(strategy, population, N, 611) == (
+                    reference_accuracy(strategy, population, N, 611)
+                ), (case.__name__, N)
+        test_balanced_golden_value()
+    finally:
+        sys.setswitchinterval(switch_interval)
+    # min(cpus, blocks) workers per call, the calling thread among them.
+    threads = [min(cpus, math.ceil(N / B)) - 1 for N in sizes]
+    assert len(started) == 2 * sum(threads) + min(cpus, 3) - 1
+    assert all(not thread.is_alive() for thread in started)
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+    started = _started_threads(monkeypatch)
+    strategy, population = _balanced()
+    for N in (1, B - 1, B):
+        monte_carlo_accuracy(strategy, population, N, 0)
+    assert started == []
+    monte_carlo_accuracy(strategy, population, B + 1, 0)
+    assert len(started) == 1
+
+
+class _BlockFailure(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize(
+    "failure, block",
+    [(_BlockFailure, 0), (_BlockFailure, 1), (_BlockFailure, 4), (KeyboardInterrupt, 0)],
+    ids=["main-first", "thread-first", "thread-later", "interrupt-main"],
+)
+def test_worker_exception_reaches_caller(monkeypatch, failure, block):
+    # Three workers over 3000 blocks: block 0 is the calling thread's first,
+    # block 1 the first thread's first and block 4 its second.
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    started = _started_threads(monkeypatch)
+    pcg64 = np.random.PCG64
+    drawn = []
+
+    def failing_pcg64(stream):
+        if stream.spawn_key == (block,):
+            raise failure(f"block {block}")
+        drawn.append(stream.spawn_key)
+        return pcg64(stream)
+
+    monkeypatch.setattr(np.random, "PCG64", failing_pcg64)
+    strategy, population = _balanced()
+    with pytest.raises(failure, match=f"block {block}"):
+        monte_carlo_accuracy(strategy, population, 3000 * B, 0)
+    assert len(started) == 2
+    for thread in started:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    # The other workers stop at their next block; left to run on, they
+    # would draw 2000 blocks.
+    assert len(drawn) <= 300
