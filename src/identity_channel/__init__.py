@@ -18,8 +18,6 @@ from .estimator import (
     EstimationResult,
     GroundTruthOracle,
     InvalidResolution,
-    RecordingOracle,
-    ReplayOracle,
     certified_estimates,
     estimate_k,
     strategy_from_estimates,

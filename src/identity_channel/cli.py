@@ -47,6 +47,7 @@ from .model import (
     PARAM_NAMES,
     Group,
     Population,
+    SenderStrategy,
     population_from_params,
     population_params,
     quality,
@@ -110,9 +111,15 @@ def load_config(path: str) -> RunConfig:
     _check_keys(raw, _CONFIG_KEYS, "config")
     if "population" not in raw:
         raise UsageError("config is missing the 'population' block")
+    block = raw["population"]
+    if not isinstance(block, dict):
+        raise UsageError("config block 'population' must be a JSON object")
+    _check_keys(block, set(PARAM_NAMES), "config block 'population'")
     try:
-        population = population_from_params(raw["population"])
-    except (ValueError, TypeError) as exc:
+        population = population_from_params(
+            {name: _config_real("population", name, v) for name, v in block.items()}
+        )
+    except ValueError as exc:
         raise UsageError(f"bad population block: {exc}") from exc
     for name, keys in (
         ("estimator", _ESTIMATOR_KEYS),
@@ -142,8 +149,6 @@ def _printable_strategy(strategy, population):
     when that happens the offending coordinate is dropped to the adjacent
     12-digit value below; reports then round-trip through `believes`.
     """
-    from .model import SenderStrategy
-
     flags = believes(strategy, population)
 
     def variants(x):

@@ -11,10 +11,9 @@ and whose quality approaches the optimum as the resolution shrinks.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Protocol
+from dataclasses import dataclass
+from typing import Protocol
 
 from .model import Group, Population, SenderStrategy
 from .receiver import believes
@@ -55,64 +54,6 @@ class GroundTruthOracle:
     def query(self, side: Group, n_A: float, n_B: float) -> bool:
         ok_A, ok_B = believes((1.0, 1.0, n_A, n_B), self.population)
         return ok_A if side is Group.A else ok_B
-
-
-@dataclass(frozen=True)
-class ReplayOracle:
-    """Oracle replaying previously recorded (side, n_A, n_B, answer) rows.
-
-    Lookups match announced strategies exactly (`RecordingOracle` writes
-    `repr`, which round-trips); querying an unrecorded strategy raises
-    KeyError.
-    """
-
-    answers: Mapping[tuple[str, float, float], bool]
-
-    @classmethod
-    def from_rows(
-        cls, rows: list[tuple[Group, float, float, bool]]
-    ) -> "ReplayOracle":
-        return cls(
-            {(side.value, n_A, n_B): answer for side, n_A, n_B, answer in rows}
-        )
-
-    @classmethod
-    def from_csv(cls, path) -> "ReplayOracle":
-        rows = []
-        with open(path, newline="") as handle:
-            for record in csv.DictReader(handle):
-                rows.append(
-                    (
-                        Group(record["side"]),
-                        float(record["n_A"]),
-                        float(record["n_B"]),
-                        record["answer"].strip().lower() in ("1", "true", "yes"),
-                    )
-                )
-        return cls.from_rows(rows)
-
-    def query(self, side: Group, n_A: float, n_B: float) -> bool:
-        return self.answers[(side.value, n_A, n_B)]
-
-
-@dataclass(frozen=True)
-class RecordingOracle:
-    """Wraps an oracle and logs every query, for replay files and tests."""
-
-    inner: BelieveOracle
-    log: list = field(default_factory=list)
-
-    def query(self, side: Group, n_A: float, n_B: float) -> bool:
-        answer = self.inner.query(side, n_A, n_B)
-        self.log.append((side, n_A, n_B, answer))
-        return answer
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["side", "n_A", "n_B", "answer"])
-            for side, n_A, n_B, answer in self.log:
-                writer.writerow([side.value, repr(n_A), repr(n_B), str(answer)])
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,8 @@ class SweepSpec:
 
     With simplex_constrained set, sweeping a weight axis also sets the
     complementary weight of the same receiver type to one minus the swept
-    value, so weight pairs stay on the unit simplex.
+    value, so weight pairs stay on the unit simplex.  Such a sweep cannot
+    take both weights of one type as axes: each would overwrite the other.
     """
 
     base: Population
@@ -111,8 +112,14 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if len(self.axes) not in (1, 2):
             raise ValueError("a sweep takes one or two axes")
-        if len({axis.name for axis in self.axes}) != len(self.axes):
+        names = [axis.name for axis in self.axes]
+        if len(set(names)) != len(names):
             raise ValueError("sweep axes must be distinct")
+        if self.simplex_constrained and _COMPLEMENT.get(names[0]) in names:
+            raise ValueError(
+                f"a simplex-constrained sweep cannot take both {names[0]!r} "
+                f"and its complement {names[1]!r} as axes"
+            )
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -278,20 +285,26 @@ def monotonicity_violations(
 
     Reports every adjacent pair whose quality moves against `direction` by
     more than 1e-9, with the first axis's values.  Skipped cells are
-    excluded, so comparisons are between consecutive solved cells.
+    excluded, so comparisons are between consecutive solved cells.  Each
+    step is judged along increasing axis value: an axis that runs from a
+    higher `lo` down to a lower `hi` is read in reverse, so it gives the
+    same verdict as the ascending sweep.
     """
-    step = np.diff(result.Q)
+    axis = result.coordinates(result.solved)[0]
+    Q = result.Q
+    if result.spec.axes[0].hi < result.spec.axes[0].lo:
+        axis, Q = axis[::-1], Q[::-1]
+    step = np.diff(Q)
     if direction is Direction.NONINCREASING:
         step = -step
     (bad,) = np.nonzero(step < -_AUDIT_TOL)
-    axis = result.coordinates(result.solved)[0]
     return tuple(
         map(
             MonotonicityViolation,
             axis[bad].tolist(),
             axis[bad + 1].tolist(),
-            result.Q[bad].tolist(),
-            result.Q[bad + 1].tolist(),
+            Q[bad].tolist(),
+            Q[bad + 1].tolist(),
         )
     )
 

@@ -52,6 +52,53 @@ class TestConfigLoading:
         path.write_text(json.dumps({"population": params}))
         assert main(["equilibrium", "--config", str(path)]) == EXIT_USAGE
 
+    BAD_POPULATIONS = {
+        "numeric-string": {"lambda_a_A": "0.55"},
+        "bool": {"lambda_s_B": True},
+        "null": {"delta_I_A": None},
+        "list": {"delta_O_B": [3.5]},
+        "huge-int": {"delta_O_A": 10**400},
+    }
+
+    @pytest.mark.parametrize(
+        "fields", BAD_POPULATIONS.values(), ids=BAD_POPULATIONS.keys()
+    )
+    @pytest.mark.parametrize("command", ["equilibrium", "estimate"])
+    def test_population_reals_must_be_json_numbers(
+        self, capsys, monkeypatch, tmp_path, balanced_params, fields, command
+    ):
+        from identity_channel import cli
+
+        def no_solve(*args):
+            raise AssertionError("solved before the config was checked")
+
+        monkeypatch.setattr(cli, "closed_form_equilibrium", no_solve)
+        monkeypatch.setattr(cli, "estimate_k", no_solve)
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps(
+                {"population": {**balanced_params, **fields},
+                 "estimator": {"delta": 0.01, "M": 100}}
+            )
+        )
+        assert main([command, "--config", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: population ")
+
+    def test_population_must_be_object(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"population": [0.55] * 8}))
+        assert main(["equilibrium", "--config", str(path)]) == EXIT_USAGE
+
+    def test_integer_population_reals_accepted(self, tmp_path, balanced_params):
+        params = dict(balanced_params, delta_I_A=1, delta_O_A=2)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"population": params}))
+        population = load_config(str(path)).population
+        assert population.profile_A.out_group_penalty == 2.0
+        assert isinstance(population.profile_A.out_group_penalty, float)
+
     def test_missing_file(self):
         assert main(["equilibrium", "--config", "/nonexistent.json"]) == EXIT_USAGE
 
@@ -396,6 +443,40 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert not out.exists()
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("names", [("lambda_s_A", "lambda_a_A"),
+                                       ("lambda_a_B", "lambda_s_B")])
+    def test_simplex_sweep_over_both_weights_of_one_type_rejected(
+        self, capsys, tmp_path, balanced_params, names
+    ):
+        axes = [{"name": name, "lo": 0, "hi": 1, "resolution": 3} for name in names]
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps(
+                {"population": balanced_params,
+                 "sweep": {"axes": axes, "simplex_constrained": True}}
+            )
+        )
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "complement" in captured.err
+
+    def test_audit_of_descending_axis(self, capsys, tmp_path, balanced_params):
+        reports = []
+        for lo, hi in ((0.0, 1.0), (1.0, 0.0)):
+            axis = {"name": "lambda_s_B", "lo": lo, "hi": hi, "resolution": 11}
+            path = tmp_path / "c.json"
+            path.write_text(
+                json.dumps({"population": balanced_params, "sweep": {"axes": [axis]}})
+            )
+            argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]
+            code, report = run_json(capsys, argv + ["--audit"])
+            assert code == EXIT_OK
+            reports.append(report)
+        assert reports[0]["audit_violations"] == reports[1]["audit_violations"] == []
 
     def test_unwritable_path_exits_2(self, balanced_config):
         code = main(

@@ -15,8 +15,6 @@ from identity_channel.estimator import (
     DEFAULT_SEARCH_BOUND,
     GroundTruthOracle,
     InvalidResolution,
-    RecordingOracle,
-    ReplayOracle,
     certified_estimates,
     estimate_k,
     strategy_from_estimates,
@@ -144,33 +142,6 @@ class TestEstimateK:
             assert res.steps <= bound
             assert (res.lower + res.upper) / 2.0 in (res.lower, res.upper)
             assert abs(res.k_hat - k) <= 2.0 * math.ulp(k)
-
-
-class TestReplayAndRecording:
-    def test_roundtrip_through_csv(self, balanced_population, tmp_path):
-        recorder = RecordingOracle(GroundTruthOracle(balanced_population))
-        first = estimate_k(recorder, Group.A, 0.01, 1e4)
-        path = tmp_path / "answers.csv"
-        recorder.write_csv(path)
-
-        replay = ReplayOracle.from_csv(path)
-        second = estimate_k(replay, Group.A, 0.01, 1e4)
-        assert second.k_hat == first.k_hat
-        assert second.steps == first.steps
-
-    def test_replay_keys_are_exact(self):
-        n_A = 0.5
-        oracle = ReplayOracle.from_rows(
-            [(Group.A, n_A, 1.0, True), (Group.A, n_A + 1e-12, 1.0, False)]
-        )
-        assert oracle.query(Group.A, n_A, 1.0) is True
-        assert oracle.query(Group.A, n_A + 1e-12, 1.0) is False
-
-    def test_replay_rejects_unknown_query(self):
-        oracle = ReplayOracle.from_rows([(Group.A, 1.0, 1.0, True)])
-        assert oracle.query(Group.A, 1.0, 1.0) is True
-        with pytest.raises(KeyError):
-            oracle.query(Group.A, 0.5, 1.0)
 
 
 class TestStrategyFromEstimates:

@@ -114,6 +114,29 @@ class TestRunSweep:
         (axis1,) = result.coordinates(result.solved)
         assert axis1[-1] == 1.0
 
+    @pytest.mark.parametrize(
+        "names",
+        [("lambda_s_A", "lambda_a_A"), ("lambda_a_A", "lambda_s_A"),
+         ("lambda_s_B", "lambda_a_B")],
+    )
+    def test_simplex_sweep_over_both_weights_of_one_type_rejected(
+        self, balanced_population, names
+    ):
+        # Each axis would set the other's weight to its complement, so the
+        # second axis overwrites the first and cells carry wrong labels.
+        axes = tuple(SweepAxis(name, 0.0, 1.0, 3) for name in names)
+        with pytest.raises(ValueError, match="complement"):
+            SweepSpec(balanced_population, axes, simplex_constrained=True)
+        SweepSpec(balanced_population, axes)  # without the simplex: fine
+
+    def test_simplex_sweep_over_weights_of_two_types_allowed(
+        self, balanced_population
+    ):
+        axes = tuple(
+            SweepAxis(name, 0.0, 1.0, 3) for name in ("lambda_s_A", "lambda_a_B")
+        )
+        result = run_sweep(SweepSpec(balanced_population, axes, simplex_constrained=True))
+        assert len(result.Q) + len(result.skipped) == 9
 
     def test_result_memory_bounded_per_cell(self, balanced_population):
         axes = (
@@ -209,6 +232,30 @@ class TestAudit:
         found = monotonicity_violations(result, Direction.NONDECREASING)
         assert found == expected
         assert audit_monotonicity(spec, "delta_O_B", Direction.NONDECREASING) == found
+
+    def test_descending_axis_judged_along_increasing_values(
+        self, balanced_population
+    ):
+        def audit(name, lo, hi, resolution, direction):
+            spec = SweepSpec(
+                base=balanced_population,
+                axes=(SweepAxis(name, lo, hi, resolution),),
+            )
+            return audit_monotonicity(spec, name, direction)
+
+        down = Direction.NONINCREASING
+        assert audit("lambda_s_B", 0.0, 1.0, 11, down) == ()
+        assert audit("lambda_s_B", 1.0, 0.0, 11, down) == ()
+
+        # Q = 3 + 1/k_B falls along delta_O_B either way the axis runs.
+        up = Direction.NONDECREASING
+        ascending = audit("delta_O_B", 1.0, 3.5, 201, up)
+        descending = audit("delta_O_B", 3.5, 1.0, 201, up)
+        assert len(ascending) == len(descending) == 5
+        for a, d in zip(ascending, descending):
+            assert d.axis_lo < d.axis_hi and d.q_lo > d.q_hi
+            assert d.axis_lo == pytest.approx(a.axis_lo, abs=1e-12)
+            assert d.q_hi == pytest.approx(a.q_hi, abs=1e-12)
 
     def test_axis_mismatch_rejected(self, balanced_population):
         spec = SweepSpec(
