@@ -27,11 +27,13 @@ from .experiments import (
     NonBelievingReceiver,
     SweepAxis,
     SweepSpec,
+    SweepSummary,
     audit_monotonicity,
     expected_direction,
     monotonicity_violations,
     monte_carlo_accuracy,
     run_sweep,
+    stream_sweep,
     write_simulation_csv,
     write_sweep_csv,
 )

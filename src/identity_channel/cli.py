@@ -37,11 +37,9 @@ from .experiments import (
     SweepAxis,
     SweepSpec,
     expected_direction,
-    monotonicity_violations,
     monte_carlo_accuracy,
-    run_sweep,
+    stream_sweep,
     write_simulation_csv,
-    write_sweep_csv,
 )
 from .model import (
     PARAM_NAMES,
@@ -310,6 +308,7 @@ def _sweep_spec_from_config(config: RunConfig) -> SweepSpec:
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     spec = _sweep_spec_from_config(config)
+    direction = None
     if args.audit:
         if len(spec.axes) != 1:
             raise UsageError("--audit requires a single sweep axis")
@@ -317,23 +316,20 @@ def cmd_sweep(args) -> int:
             direction = expected_direction(spec.axes[0].name)
         except ValueError as exc:
             raise UsageError(f"--audit: {exc}") from exc
-    result = run_sweep(spec)
     try:
-        write_sweep_csv(result, args.out)
+        summary = stream_sweep(spec, args.out, direction)
     except OSError as exc:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
-    solved = len(result.Q) > 0
     report = {
-        "rows": len(result.Q),
-        "skipped": len(result.skipped),
-        "min_Q": _round12(result.Q.min()) if solved else None,
-        "max_Q": _round12(result.Q.max()) if solved else None,
+        "rows": summary.rows,
+        "skipped": summary.skipped,
+        "min_Q": None if summary.min_Q is None else _round12(summary.min_Q),
+        "max_Q": None if summary.max_Q is None else _round12(summary.max_Q),
         "out": args.out,
     }
     exit_code = EXIT_OK
     if args.audit:
-        violations = monotonicity_violations(result, direction)
         report["audit_direction"] = direction.value
         report["audit_violations"] = [
             {
@@ -342,9 +338,9 @@ def cmd_sweep(args) -> int:
                 "q_lo": _round12(v.q_lo),
                 "q_hi": _round12(v.q_hi),
             }
-            for v in violations
+            for v in summary.violations
         ]
-        if violations:
+        if summary.violations:
             exit_code = EXIT_PROPERTY_FAILURE
     _print_report(report)
     return exit_code

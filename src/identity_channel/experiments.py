@@ -9,9 +9,11 @@ believing receivers.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import io
+import itertools
 import math
 import os
 import threading
@@ -80,11 +82,28 @@ class SweepAxis:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("axis range must be finite")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(
+                f"axis span hi - lo overflows: {self.hi!r} - {self.lo!r}"
+            )
 
-    def values(self) -> np.ndarray:
+    def values(self, index: np.ndarray) -> np.ndarray:
+        """The axis values at grid `index`, computed for those indices only.
+
+        Each equals `np.linspace(lo, hi, resolution)[index]`, by the same
+        operations: i * step + lo, or i / (resolution - 1) * (hi - lo) + lo
+        where the step underflows to zero, and hi itself at the last index.
+        So a block of a long axis costs memory for its own cells only.
+        """
+        index = np.asarray(index)
         if self.resolution == 1:
-            return np.array([self.lo])
-        return np.linspace(self.lo, self.hi, self.resolution)
+            return np.full(index.shape, float(self.lo))
+        div = self.resolution - 1
+        lo, hi = float(self.lo), float(self.hi)
+        step = (hi - lo) / div
+        i = index.astype(np.float64)
+        value = (i * step if step != 0.0 else i / div * (hi - lo)) + lo
+        return np.where(index == div, hi, value)
 
 
 _COMPLEMENT = {
@@ -128,7 +147,7 @@ class SweepSpec:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """A sweep's solved cells as columns, in row-major grid order.
+    """One block of a sweep's solved cells as columns, in row-major grid order.
 
     `solved` and `skipped` are flat row-major positions in the grid of
     `spec` (see `coordinates`).  The other arrays hold one entry per solved
@@ -149,38 +168,31 @@ class SweepResult:
     def coordinates(self, positions: np.ndarray) -> list[np.ndarray]:
         """Axis values at flat grid `positions`, one array per axis."""
         index = np.unravel_index(positions, self.spec.shape)
-        return [axis.values()[i] for axis, i in zip(self.spec.axes, index)]
+        return [axis.values(i) for axis, i in zip(self.spec.axes, index)]
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the closed-form equilibrium on every grid cell, row-major.
+def run_sweep(spec: SweepSpec, start: int) -> SweepResult:
+    """Evaluate the closed-form equilibrium on one block of the grid.
 
-    Cells are solved in blocks of at most `_SWEEP_BLOCK` by the batch
-    solver, and each block's solved cells are appended to the result's
-    columns, so the result holds about 56 bytes per solved cell and 8 per
-    skipped one.  Cells whose parameters are invalid (e.g. a negative
-    simplex complement), that violate the penalty-ordering restriction, or
-    whose swept receiver has all weights zero are skipped and reported by
-    grid position.
+    The block is grid positions [start, start + `_SWEEP_BLOCK`) in row-major
+    order, cut at the grid's end, solved at once by the batch solver.  Cells
+    whose parameters are invalid (e.g. a negative simplex complement), that
+    violate the penalty-ordering restriction, or whose swept receiver has
+    all weights zero are skipped and reported by grid position.
+    `stream_sweep` runs every block of a grid.
     """
-    axis_values = [axis.values() for axis in spec.axes]
-    cells = math.prod(spec.shape)
+    position = np.arange(start, min(start + _SWEEP_BLOCK, math.prod(spec.shape)))
     base = np.array(list(population_params(spec.base).values()))
-
-    blocks = []
-    for start in range(0, cells, _SWEEP_BLOCK):
-        position = np.arange(start, min(start + _SWEEP_BLOCK, cells))
-        index = np.unravel_index(position, spec.shape)
-        params = np.repeat(base[:, None], len(position), axis=1)
-        for axis, values, i in zip(spec.axes, axis_values, index):
-            params[PARAM_NAMES.index(axis.name)] = values[i]
-            if spec.simplex_constrained and axis.name in _COMPLEMENT:
-                params[PARAM_NAMES.index(_COMPLEMENT[axis.name])] = 1.0 - values[i]
-        batch = solve_batch(params.T)
-        ok = batch.solved
-        fields = (batch.k_A, batch.k_B, batch.case, batch.n_A, batch.n_B, batch.quality)
-        blocks.append([position[ok], position[~ok], *(f[ok] for f in fields)])
-    return SweepResult(spec, *map(np.concatenate, zip(*blocks)))
+    params = np.repeat(base[:, None], len(position), axis=1)
+    for axis, i in zip(spec.axes, np.unravel_index(position, spec.shape)):
+        values = axis.values(i)
+        params[PARAM_NAMES.index(axis.name)] = values
+        if spec.simplex_constrained and axis.name in _COMPLEMENT:
+            params[PARAM_NAMES.index(_COMPLEMENT[axis.name])] = 1.0 - values
+    batch = solve_batch(params.T)
+    ok = batch.solved
+    fields = (batch.k_A, batch.k_B, batch.case, batch.n_A, batch.n_B, batch.quality)
+    return SweepResult(spec, position[ok], position[~ok], *(f[ok] for f in fields))
 
 
 def _fmt(value: float) -> str:
@@ -192,6 +204,14 @@ def _csv_field(text: str) -> str:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="").writerow([text])
     return buffer.getvalue()
+
+
+#: The sweep CSV's header line; `write_sweep_csv` writes the rows under it.
+SWEEP_CSV_HEADER = b"axis1,axis2,k_A,k_B,case,n_A,n_B,Q\n"
+
+#: Each case label as csv.writer writes it: the only field that can need
+#: quoting (a label may contain a comma).
+_CASE_TEXT = np.array([_csv_field(label) for label in CASE_LABELS], dtype="S")
 
 
 def _distinct_text(column: np.ndarray) -> np.ndarray:
@@ -229,36 +249,40 @@ def _csv_lines(fields: list[np.ndarray]) -> bytes:
     return grid[grid != 0].tobytes()
 
 
-def write_sweep_csv(result: SweepResult, path) -> None:
-    """Serialize a sweep, one row per solved cell, 12 significant digits.
+def write_sweep_csv(result: SweepResult, handle) -> None:
+    """Write one block's CSV rows, one per solved cell, to the binary file `handle`.
 
-    Rows are written `_SWEEP_BLOCK` at a time.  Within a block each float
-    column is converted to text once per distinct value (by bits, so -0.0
-    stays "-0"; `_distinct_text` says why values repeat), and each axis
-    value once per grid position; a 1-D sweep's axis2 is empty.  The case
-    label is the only field that can need CSV quoting (it may contain a
-    comma), so each label is quoted once by csv.writer; the bytes are those
-    csv.writer would write.
+    Rows carry 12 significant digits under `SWEEP_CSV_HEADER`; a 1-D
+    sweep's axis2 is empty.  Each axis value is converted to text once per
+    grid index in the block's range, and each other float column once per
+    distinct value of the block (by bits, so -0.0 stays "-0";
+    `_distinct_text` says why values repeat), so the writer's memory is
+    bounded by the block whatever the grid size.  The case labels are
+    quoted by csv.writer; the bytes are those csv.writer would write.
     """
-    cases = np.array([_csv_field(label) for label in CASE_LABELS], dtype="S")
-    axes = [_distinct_text(axis.values()) for axis in result.spec.axes]
-    with open(path, "wb") as handle:
-        handle.write(b"axis1,axis2,k_A,k_B,case,n_A,n_B,Q\n")
-        for start in range(0, len(result.solved), _SWEEP_BLOCK):
-            block = slice(start, start + _SWEEP_BLOCK)
-            index = np.unravel_index(result.solved[block], result.spec.shape)
-            fields = [text[i] for text, i in zip(axes, index)]
-            if len(fields) == 1:
-                fields.append(np.zeros(len(fields[0]), dtype="S1"))
-            fields += [
-                _distinct_text(result.k_A[block]),
-                _distinct_text(result.k_B[block]),
-                cases[result.case[block]],
-                _distinct_text(result.n_A[block]),
-                _distinct_text(result.n_B[block]),
-                _distinct_text(result.Q[block]),
-            ]
-            handle.write(_csv_lines(fields))
+    if len(result.solved) == 0:
+        return
+    fields = []
+    for axis, i in zip(
+        result.spec.axes, np.unravel_index(result.solved, result.spec.shape)
+    ):
+        # A block's cells are consecutive grid positions, so each axis's
+        # indices span a range no longer than the block or the axis.
+        first = int(i.min())
+        values = axis.values(np.arange(first, int(i.max()) + 1))
+        text = np.array([_fmt(v) for v in values.tolist()], dtype="S")
+        fields.append(text[i - first])
+    if len(fields) == 1:
+        fields.append(np.zeros(len(result.solved), dtype="S1"))
+    fields += [
+        _distinct_text(result.k_A),
+        _distinct_text(result.k_B),
+        _CASE_TEXT[result.case],
+        _distinct_text(result.n_A),
+        _distinct_text(result.n_B),
+        _distinct_text(result.Q),
+    ]
+    handle.write(_csv_lines(fields))
 
 
 @dataclass(frozen=True)
@@ -269,29 +293,125 @@ class MonotonicityViolation:
     q_hi: float
 
 
+@dataclass(frozen=True)
+class SweepSummary:
+    """What a streamed sweep reports once its last block is done.
+
+    `min_Q` and `max_Q` are None when no cell was solved; `violations` is
+    None unless the sweep was audited.
+    """
+
+    rows: int
+    skipped: int
+    min_Q: float | None
+    max_Q: float | None
+    violations: tuple[MonotonicityViolation, ...] | None
+
+
+@contextlib.contextmanager
+def _replace_on_success(path):
+    """A binary file to write in place of `path`, moved onto it on success.
+
+    The rows go to a new file beside the target first, so a sweep that
+    fails part-way leaves `path` absent or, if it existed, unchanged; and
+    a path that cannot be written fails before any solving.  A symbolic
+    link is followed, so the file it names is replaced.  A device or pipe
+    (`/dev/null`, `/dev/stdout`) cannot be replaced and is written directly.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as handle:
+            yield handle
+        return
+    target = os.path.realpath(path)
+    temporary = f"{target}.{os.getpid()}.tmp"
+    handle = open(temporary, "xb")
+    try:
+        with handle:
+            yield handle
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
+def stream_sweep(
+    spec: SweepSpec, out=None, direction: Direction | None = None
+) -> SweepSummary:
+    """Run a sweep one block at a time: solve, write, count, then drop it.
+
+    Each block of `_SWEEP_BLOCK` cells is solved by `run_sweep`, its rows
+    written to the CSV at `out` (when given) by `write_sweep_csv`, and its
+    counts and Q range added to running totals.  With a `direction`, each
+    block is audited by `monotonicity_violations`, carrying the last solved
+    cell's axis value and Q across the block edge.  Only one block is held
+    at a time, so memory is bounded whatever the grid size.  The CSV is
+    written to a file beside `out` and moved onto it at the end, so a sweep
+    that fails part-way leaves no partial CSV.
+    """
+    rows = skipped = 0
+    min_Q, max_Q = math.inf, -math.inf
+    last = None
+    found = []
+    sink = contextlib.nullcontext() if out is None else _replace_on_success(out)
+    with sink as handle:
+        if handle is not None:
+            handle.write(SWEEP_CSV_HEADER)
+        for start in range(0, math.prod(spec.shape), _SWEEP_BLOCK):
+            block = run_sweep(spec, start)
+            if handle is not None:
+                write_sweep_csv(block, handle)
+            rows += len(block.Q)
+            skipped += len(block.skipped)
+            if len(block.Q) == 0:
+                continue
+            min_Q = min(min_Q, float(block.Q.min()))
+            max_Q = max(max_Q, float(block.Q.max()))
+            if direction is not None:
+                found.append(monotonicity_violations(block, direction, last))
+                last = (block.coordinates(block.solved[-1:])[0][0], block.Q[-1])
+    if spec.axes[0].hi < spec.axes[0].lo:
+        # Each block lists its violations along increasing axis value, so a
+        # descending axis lists its blocks last to first.
+        found.reverse()
+    return SweepSummary(
+        rows,
+        skipped,
+        min_Q if rows else None,
+        max_Q if rows else None,
+        tuple(itertools.chain(*found)) if direction is not None else None,
+    )
+
+
 def audit_monotonicity(
     spec: SweepSpec, axis: str, direction: Direction
 ) -> tuple[MonotonicityViolation, ...]:
     """Run a 1-D sweep along `axis` and check it with `monotonicity_violations`."""
     if len(spec.axes) != 1 or spec.axes[0].name != axis:
         raise ValueError(f"spec must be a 1-D sweep along {axis!r}")
-    return monotonicity_violations(run_sweep(spec), direction)
+    return stream_sweep(spec, direction=direction).violations
 
 
 def monotonicity_violations(
-    result: SweepResult, direction: Direction
+    result: SweepResult,
+    direction: Direction,
+    previous: tuple[float, float] | None = None,
 ) -> tuple[MonotonicityViolation, ...]:
-    """Check quality ordering of adjacent solved cells of a sweep.
+    """Check quality ordering of adjacent solved cells of a sweep block.
 
     Reports every adjacent pair whose quality moves against `direction` by
     more than 1e-9, with the first axis's values.  Skipped cells are
-    excluded, so comparisons are between consecutive solved cells.  Each
+    excluded, so comparisons are between consecutive solved cells.
+    `previous` is the (axis value, Q) of the last solved cell before this
+    block, if any, so the pair across the block edge is judged too.  Each
     step is judged along increasing axis value: an axis that runs from a
     higher `lo` down to a lower `hi` is read in reverse, so it gives the
     same verdict as the ascending sweep.
     """
     axis = result.coordinates(result.solved)[0]
     Q = result.Q
+    if previous is not None:
+        axis = np.concatenate(([previous[0]], axis))
+        Q = np.concatenate(([previous[1]], Q))
     if result.spec.axes[0].hi < result.spec.axes[0].lo:
         axis, Q = axis[::-1], Q[::-1]
     step = np.diff(Q)

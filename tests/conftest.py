@@ -1,13 +1,38 @@
-"""Shared fixtures: the three heatmap base configurations.
+"""Shared fixtures: the three heatmap base configurations, and whole sweeps.
 
 All three share accuracy/identity weights (0.55, 0.45) for type A,
 in-group penalties of 1 for both types, and out-group penalties of 2 (A)
 and 3.5 (B); they differ only in the type-B weights.
 """
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
+from identity_channel.experiments import _SWEEP_BLOCK, SweepResult, run_sweep
 from identity_channel.model import population_from_params
+
+
+@pytest.fixture(scope="session")
+def whole_sweep():
+    """A function solving every block of a sweep into one joined SweepResult.
+
+    The program holds one block at a time; tests that compare a whole grid
+    with a reference join the blocks' columns here.
+    """
+
+    def solve(spec):
+        cells = math.prod(spec.shape)
+        blocks = [run_sweep(spec, start) for start in range(0, cells, _SWEEP_BLOCK)]
+        columns = [field.name for field in dataclasses.fields(SweepResult)][1:]
+        return SweepResult(
+            spec,
+            *(np.concatenate([getattr(b, name) for b in blocks]) for name in columns),
+        )
+
+    return solve
 
 
 def _base_params(lambda_a_B, lambda_s_B):

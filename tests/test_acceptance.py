@@ -165,7 +165,7 @@ class TestAcceptance:
                     )
         assert report(5, not failing, "; ".join(failing) or "all 18 audits clean")
 
-    def test_criterion_6_heatmap_spot_checks(self, balanced_population):
+    def test_criterion_6_heatmap_spot_checks(self, balanced_population, whole_sweep):
         spec = SweepSpec(
             base=balanced_population,
             axes=(
@@ -173,7 +173,7 @@ class TestAcceptance:
                 SweepAxis("lambda_a_A", 0.0, 1.0, 101),
             ),
         )
-        result = run_sweep(spec)
+        result = whole_sweep(spec)
         axis1, axis2 = result.coordinates(result.solved)
 
         def cell_Q(ls, la):
@@ -202,7 +202,7 @@ class TestAcceptance:
         spec = SweepSpec(
             base=balanced_population, axes=(SweepAxis("delta_O_B", 1.0, 3.5, 201),)
         )
-        result = run_sweep(spec)
+        result = run_sweep(spec, 0)
         banded = result.case == CASE_LABELS.index("k_A>k_B>1")
         assert banded.any()
         for Q, k_B in zip(result.Q[banded], result.k_B[banded]):
@@ -220,7 +220,7 @@ class TestAcceptance:
             spec = SweepSpec(
                 base=population, axes=(SweepAxis("delta_O_A", 1.0, 6.0, 201),)
             )
-            result = run_sweep(spec)
+            result = run_sweep(spec, 0)
             assert len(result.Q) == 201
             for case, k_A, k_B, Q in zip(
                 result.case.tolist(), result.k_A, result.k_B, result.Q
@@ -248,7 +248,7 @@ class TestAcceptance:
                 axes=(SweepAxis(axis, 0.0, 1.0, 201),),
                 simplex_constrained=simplex_constrained,
             )
-            result = run_sweep(spec)
+            result = run_sweep(spec, 0)
             assert len(result.Q) == 201
             for case, k_A, k_B, Q in zip(
                 result.case.tolist(), result.k_A, result.k_B, result.Q

@@ -26,10 +26,11 @@ from identity_channel.equilibrium import (
 )
 from identity_channel.experiments import (
     _SWEEP_BLOCK,
+    SWEEP_CSV_HEADER,
     SweepAxis,
     SweepResult,
     SweepSpec,
-    run_sweep,
+    stream_sweep,
     write_sweep_csv,
 )
 from identity_channel.model import (
@@ -125,12 +126,17 @@ _COMPLEMENT = {"lambda_a_A": "lambda_s_A", "lambda_s_A": "lambda_a_A",
 Record = namedtuple("Record", "axis1 axis2 k_A k_B case n_A n_B Q")
 
 
+def linspace(axis):
+    """Every value of a sweep axis, as np.linspace makes the whole grid."""
+    return np.linspace(axis.lo, axis.hi, axis.resolution)
+
+
 def reference_sweep(spec):
     """Records, skipped cells and skip reasons, one cell at a time."""
     axis2 = spec.axes[1] if len(spec.axes) == 2 else None
     records, skipped, reasons = [], [], set()
-    for v1 in spec.axes[0].values():
-        for v2 in axis2.values() if axis2 is not None else [None]:
+    for v1 in linspace(spec.axes[0]):
+        for v2 in linspace(axis2) if axis2 is not None else [None]:
             params = population_params(spec.base)
             cell = [(spec.axes[0].name, float(v1))]
             if axis2 is not None:
@@ -240,7 +246,7 @@ GRIDS = {
 
 
 @pytest.mark.parametrize("name", list(GRIDS))
-def test_sweep_matches_reference(name, tmp_path):
+def test_sweep_matches_reference(name, tmp_path, whole_sweep):
     overrides, axes, simplex, features = GRIDS[name]
     spec = SweepSpec(
         base=population_from_params({**BASE, **overrides}),
@@ -248,7 +254,7 @@ def test_sweep_matches_reference(name, tmp_path):
         simplex_constrained=simplex,
     )
     expected, skipped, reasons = reference_sweep(spec)
-    result = run_sweep(spec)
+    result = whole_sweep(spec)
     records = records_of(result)
     assert records == expected
     assert cells_of(result, result.skipped) == skipped
@@ -275,9 +281,12 @@ def test_sweep_matches_reference(name, tmp_path):
     assert features <= seen
 
     ours, theirs = tmp_path / "batch.csv", tmp_path / "reference.csv"
-    write_sweep_csv(result, ours)
+    summary = stream_sweep(spec, ours)
     reference_csv(expected, theirs)
     assert ours.read_bytes() == theirs.read_bytes()
+    Q = [rec.Q for rec in expected]
+    assert (summary.rows, summary.skipped) == (len(expected), len(skipped))
+    assert (summary.min_Q, summary.max_Q) == (min(Q), max(Q))
 
 
 def test_csv_text_of_distinct_bits(tmp_path):
@@ -310,7 +319,18 @@ def test_csv_text_of_distinct_bits(tmp_path):
     )
 
     ours, theirs = tmp_path / "batch.csv", tmp_path / "reference.csv"
-    write_sweep_csv(result, ours)
+    with open(ours, "wb") as handle:
+        handle.write(SWEEP_CSV_HEADER)
+        for start in range(0, cells, _SWEEP_BLOCK):
+            block = (solved >= start) & (solved < start + _SWEEP_BLOCK)
+            write_sweep_csv(
+                SweepResult(
+                    spec, solved[block], np.array([], dtype=int),
+                    *(getattr(result, name)[block]
+                      for name in ("k_A", "k_B", "case", "n_A", "n_B", "Q")),
+                ),
+                handle,
+            )
     reference_csv(records_of(result), theirs)
     text = ours.read_bytes()
     assert text == theirs.read_bytes()

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import stat
+import threading
 
 import pytest
 
 from identity_channel.cli import (
     EXIT_DOMAIN_ERROR,
     EXIT_OK,
+    EXIT_PROPERTY_FAILURE,
     EXIT_USAGE,
     load_config,
     main,
@@ -421,6 +425,7 @@ class TestSweepCommand:
         "hi-bool": ({"hi": True}, {}),
         "hi-list": ({"hi": [0.9]}, {}),
         "lo-huge-int": ({"lo": -(10**400)}, {}),
+        "span-overflow": ({"lo": -1e308, "hi": 1e308}, {}),
     }
 
     @pytest.mark.parametrize(
@@ -478,11 +483,115 @@ class TestSweepCommand:
             reports.append(report)
         assert reports[0]["audit_violations"] == reports[1]["audit_violations"] == []
 
-    def test_unwritable_path_exits_2(self, balanced_config):
+    def test_unwritable_path_exits_2(self, balanced_config, monkeypatch):
+        from identity_channel import experiments
+
+        def no_solve(params):
+            raise AssertionError("solved a sweep it cannot write")
+
+        monkeypatch.setattr(experiments, "solve_batch", no_solve)
         code = main(
             ["sweep", "--config", balanced_config, "--out", "/nonexistent/dir/o.csv"]
         )
         assert code == EXIT_DOMAIN_ERROR
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_written_directly(self, capsys, tmp_path, balanced_config):
+        # A pipe (or a device such as /dev/null) cannot be replaced by a
+        # finished file: the rows go straight into it.
+        pipe, copy = tmp_path / "pipe", tmp_path / "copy.csv"
+        os.mkfifo(pipe)
+        read = []
+        reader = threading.Thread(
+            target=lambda: read.append(pipe.read_bytes()), daemon=True
+        )
+        reader.start()
+        code, report = run_json(
+            capsys, ["sweep", "--config", balanced_config, "--out", str(pipe)]
+        )
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert code == EXIT_OK and report["rows"] == 21
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert main(["sweep", "--config", balanced_config, "--out", str(copy)]) == 0
+        assert read == [copy.read_bytes()]
+
+    @pytest.mark.parametrize("existing", [None, b"an earlier sweep\n"])
+    def test_failure_part_way_leaves_no_partial_csv(
+        self, capsys, tmp_path, balanced_params, monkeypatch, existing
+    ):
+        from identity_channel import experiments
+        from identity_channel.equilibrium import NoFeasibleEncoding
+
+        solve = experiments.solve_batch
+        calls = []
+
+        def fail_on_second_block(params):
+            calls.append(len(params))
+            if len(calls) == 2:
+                raise NoFeasibleEncoding("no encoding in the second block")
+            return solve(params)
+
+        monkeypatch.setattr(experiments, "solve_batch", fail_on_second_block)
+        axis = {"name": "delta_O_B", "lo": 1.0, "hi": 3.5,
+                "resolution": experiments._SWEEP_BLOCK + 5}
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps({"population": balanced_params, "sweep": {"axes": [axis]}})
+        )
+        out = tmp_path / "sweep.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        code = main(["sweep", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_DOMAIN_ERROR
+        assert calls == [experiments._SWEEP_BLOCK, 5]
+        assert capsys.readouterr().out == ""
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["c.json"] + ([] if existing is None else ["sweep.csv"])
+        )
+
+    def test_audit_across_block_edges(self, capsys, tmp_path, balanced_params):
+        from identity_channel.experiments import (
+            _SWEEP_BLOCK,
+            Direction,
+            SweepAxis,
+            SweepSpec,
+            audit_monotonicity,
+        )
+        from identity_channel.model import population_from_params
+
+        # Q = 3 + 1/k_B falls once delta_O_B passes ~3.44, across the block
+        # edge at grid position 8192 of the ascending axis.
+        resolution = 2 * _SWEEP_BLOCK + 5
+        spec = SweepSpec(
+            population_from_params(balanced_params),
+            (SweepAxis("delta_O_B", 1.0, 3.5, resolution),),
+        )
+        expected = [
+            {key: float(f"{value:.12g}") for key, value in vars(v).items()}
+            for v in audit_monotonicity(spec, "delta_O_B", Direction.NONDECREASING)
+        ]
+        reports = []
+        for lo, hi in ((1.0, 3.5), (3.5, 1.0)):
+            axis = {"name": "delta_O_B", "lo": lo, "hi": hi, "resolution": resolution}
+            path = tmp_path / "c.json"
+            path.write_text(
+                json.dumps({"population": balanced_params, "sweep": {"axes": [axis]}})
+            )
+            argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]
+            code, report = run_json(capsys, argv + ["--audit"])
+            assert code == EXIT_PROPERTY_FAILURE
+            assert report["audit_violations"] == expected
+            assert len(expected) == 183
+            code, plain = run_json(capsys, argv)
+            assert code == EXIT_OK
+            assert {k: report[k] for k in plain} == plain
+            reports.append(report)
+        assert reports[0] == reports[1]
 
 
 class TestSimulateCommand:

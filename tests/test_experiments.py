@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from identity_channel.equilibrium import CASE_LABELS
@@ -18,8 +19,8 @@ from identity_channel.experiments import (
     monotonicity_violations,
     monte_carlo_accuracy,
     run_sweep,
+    stream_sweep,
     write_simulation_csv,
-    write_sweep_csv,
 )
 from identity_channel.model import (
     IdentityProfile,
@@ -32,7 +33,29 @@ from identity_channel.model import (
 class TestSweepAxis:
     def test_values(self):
         axis = SweepAxis("lambda_a_A", 0.0, 1.0, 5)
-        assert list(axis.values()) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert list(axis.values(np.arange(5))) == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    @pytest.mark.parametrize(
+        "lo, hi, resolution",
+        [
+            (0.0, 6.0, 201),
+            (1.0, 3.5, 2 * _SWEEP_BLOCK + 5),
+            (3.5, 1.0, 2 * _SWEEP_BLOCK + 5),
+            (0.0, -0.0, 3),
+            (-0.0, 0.0, 4),
+            (0.0, 5e-324, 3),  # the step underflows to zero
+            (2.0, 2.0, 7),
+            (-8e307, 8e307, 9),
+            (0.1, 0.7, 1),
+        ],
+    )
+    def test_values_equal_linspace_bitwise(self, lo, hi, resolution):
+        axis = SweepAxis("delta_O_B", lo, hi, resolution)
+        index = np.arange(resolution)
+        expected = np.linspace(lo, hi, resolution)
+        assert axis.values(index).tobytes() == expected.tobytes()
+        picked = index[::-3]
+        assert axis.values(picked).tobytes() == expected[picked].tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -41,6 +64,14 @@ class TestSweepAxis:
             SweepAxis("lambda_a_A", 0.0, 1.0, 0)
         with pytest.raises(ValueError):
             SweepAxis("lambda_a_A", 0.0, math.inf, 5)
+
+    def test_span_overflow_rejected(self):
+        # np.linspace(-1e308, 1e308, 5) is [nan, inf, inf, inf, 1e308]: its
+        # interior cells would be skipped as invalid without a word.
+        with pytest.raises(ValueError, match="overflows"):
+            SweepAxis("delta_O_A", -1e308, 1e308, 5)
+        with pytest.raises(ValueError, match="overflows"):
+            SweepAxis("delta_O_A", 1.7e308, -1.7e308, 2)
 
 
 class TestRunSweep:
@@ -51,7 +82,7 @@ class TestRunSweep:
             base=balanced_population,
             axes=(SweepAxis("lambda_a_A", 0.55, 0.55, 1),),
         )
-        result = run_sweep(spec)
+        result = run_sweep(spec, 0)
         assert len(result.Q) == 1
         base = closed_form_equilibrium(balanced_population)
         assert result.Q[0] == pytest.approx(base.quality, abs=1e-12)
@@ -65,7 +96,7 @@ class TestRunSweep:
                 SweepAxis("lambda_a_A", 0.0, 1.0, 11),
             ),
         )
-        result = run_sweep(spec)
+        result = run_sweep(spec, 0)
         # The (0, 0) cell has a type-A receiver with no weights at all and
         # is skipped; every computed cell keeps at least half the quality.
         assert len(result.Q) + len(result.skipped) == 121
@@ -78,12 +109,14 @@ class TestRunSweep:
             base=balanced_population,
             axes=(SweepAxis("delta_I_A", 0.0, 4.0, 5),),
         )
-        result = run_sweep(spec)
+        result = run_sweep(spec, 0)
         # delta_I_A in {3, 4} exceeds delta_O_A = 2 and must be skipped.
         assert len(result.skipped) == 2
         assert len(result.Q) == 3
 
-    def test_row_major_and_deterministic_csv(self, balanced_population, tmp_path):
+    def test_row_major_and_deterministic_csv(
+        self, balanced_population, tmp_path, whole_sweep
+    ):
         spec = SweepSpec(
             base=balanced_population,
             axes=(
@@ -91,12 +124,12 @@ class TestRunSweep:
                 SweepAxis("lambda_a_A", 0.1, 0.9, 3),
             ),
         )
-        result = run_sweep(spec)
+        result = whole_sweep(spec)
         firsts = result.coordinates(result.solved)[0].tolist()
         assert firsts == sorted(firsts)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(result, p1)
-        write_sweep_csv(run_sweep(spec), p2)
+        stream_sweep(spec, p1)
+        stream_sweep(spec, p2)
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "axis1,axis2,k_A,k_B,case,n_A,n_B,Q"
@@ -108,7 +141,7 @@ class TestRunSweep:
             axes=(SweepAxis("lambda_s_A", 0.0, 1.0, 3),),
             simplex_constrained=True,
         )
-        result = run_sweep(spec)
+        result = run_sweep(spec, 0)
         # At lambda_s_A = 1 the complementary lambda_a_A becomes 0.
         assert len(result.Q) == 3
         (axis1,) = result.coordinates(result.solved)
@@ -135,50 +168,43 @@ class TestRunSweep:
         axes = tuple(
             SweepAxis(name, 0.0, 1.0, 3) for name in ("lambda_s_A", "lambda_a_B")
         )
-        result = run_sweep(SweepSpec(balanced_population, axes, simplex_constrained=True))
+        result = run_sweep(
+            SweepSpec(balanced_population, axes, simplex_constrained=True), 0
+        )
         assert len(result.Q) + len(result.skipped) == 9
 
-    def test_result_memory_bounded_per_cell(self, balanced_population):
-        axes = (
-            SweepAxis("delta_O_A", 0.0, 6.0, 201),
-            SweepAxis("delta_O_B", 0.0, 6.0, 201),
-        )
-        run_sweep(SweepSpec(balanced_population, axes[:1]))  # first-call set-up
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            result = run_sweep(SweepSpec(balanced_population, axes))
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        # Columns hold 56 bytes per solved cell and 8 per skipped one; a
-        # Python object per cell would take several times that.
-        assert retained <= 100 * 201 * 201
-        assert len(result.Q) + len(result.skipped) == 201 * 201
-
-    def test_csv_writer_memory_bounded_in_rows(self, balanced_population, tmp_path):
+    @pytest.mark.parametrize(
+        "names, one_block, eight_blocks",
+        [
+            (("delta_O_A", "delta_O_B"), 64, 181),  # 4096 and 32761 cells
+            (("delta_O_B",), _SWEEP_BLOCK, 8 * _SWEEP_BLOCK),
+        ],
+        ids=["2-D", "1-D"],
+    )
+    def test_sweep_memory_bounded_in_blocks(
+        self, balanced_population, tmp_path, names, one_block, eight_blocks
+    ):
         def peak_traced_bytes(resolution):
-            axes = tuple(
-                SweepAxis(name, 1.0, 6.0, resolution)
-                for name in ("delta_O_A", "delta_O_B")
-            )
-            result = run_sweep(SweepSpec(balanced_population, axes))
-            assert len(result.Q) == resolution**2
+            axes = tuple(SweepAxis(name, 1.0, 6.0, resolution) for name in names)
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
-                write_sweep_csv(result, tmp_path / "sweep.csv")
-                return tracemalloc.get_traced_memory()[1]
+                summary = stream_sweep(
+                    SweepSpec(balanced_population, axes), tmp_path / "sweep.csv"
+                )
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert summary.rows == resolution ** len(names)
+            return peak
 
         peak_traced_bytes(8)  # first-call set-up
-        one_block = peak_traced_bytes(64)  # 4096 rows
-        eight_blocks = peak_traced_bytes(181)  # 32761 rows
-        # Blocks differ only in field widths, and the axis text in a few
-        # bytes per grid position; a writer holding every row's text peaks
-        # at ~200 bytes per row of all rows.
-        assert eight_blocks <= one_block + 8 * _SWEEP_BLOCK
+        one = peak_traced_bytes(one_block)
+        eight = peak_traced_bytes(eight_blocks)
+        # Solving and writing hold one block at a time, so blocks differ
+        # only in field widths; a sweep holding every solved cell's columns
+        # or every row's axis text peaks at tens of bytes per row of all rows.
+        assert eight <= one + 8 * _SWEEP_BLOCK
 
 
 class TestAudit:
@@ -220,7 +246,7 @@ class TestAudit:
             base=balanced_population,
             axes=(SweepAxis("delta_O_B", 1.0, 3.5, 201),),
         )
-        result = run_sweep(spec)
+        result = run_sweep(spec, 0)
         (axis,) = result.coordinates(result.solved)
         axis, Q = axis.tolist(), result.Q.tolist()
         expected = tuple(
@@ -232,6 +258,38 @@ class TestAudit:
         found = monotonicity_violations(result, Direction.NONDECREASING)
         assert found == expected
         assert audit_monotonicity(spec, "delta_O_B", Direction.NONDECREASING) == found
+
+    @pytest.mark.parametrize(
+        "lo, hi, edge",
+        [(1.0, 3.5, 2 * _SWEEP_BLOCK), (3.5, 1.0, None), (3.5, 3.4, _SWEEP_BLOCK)],
+    )
+    def test_audit_across_block_edges(self, balanced_population, whole_sweep, lo, hi, edge):
+        # Q = 3 + 1/k_B falls once delta_O_B passes ~3.44.  Over 1.0..3.5 at
+        # 2 * 4096 + 5 points that tail spans the block edge at position
+        # 8192; over 3.5 down to 3.4, the edge at 4096.  The streamed audit,
+        # which carries the last solved cell across each edge, must find
+        # what one pairwise pass over the joined blocks finds.
+        spec = SweepSpec(
+            base=balanced_population,
+            axes=(SweepAxis("delta_O_B", lo, hi, 2 * _SWEEP_BLOCK + 5),),
+        )
+        result = whole_sweep(spec)
+        (axis,) = result.coordinates(result.solved)
+        axis, Q = axis.tolist(), result.Q.tolist()
+        pairs = list(zip(axis, axis[1:], Q, Q[1:]))
+        if hi < lo:  # judged along increasing axis value
+            pairs = [(a_hi, a_lo, q_hi, q_lo) for a_lo, a_hi, q_lo, q_hi in pairs[::-1]]
+        expected = tuple(
+            MonotonicityViolation(*pair) for pair in pairs if pair[3] - pair[2] < -1e-9
+        )
+        assert len(expected) > 100
+        found = audit_monotonicity(spec, "delta_O_B", Direction.NONDECREASING)
+        assert found == expected
+        if edge is not None:
+            at_edge = axis[edge - 1 : edge + 1]
+            assert any(
+                sorted(at_edge) == [v.axis_lo, v.axis_hi] for v in found
+            )
 
     def test_descending_axis_judged_along_increasing_values(
         self, balanced_population
@@ -247,15 +305,17 @@ class TestAudit:
         assert audit("lambda_s_B", 0.0, 1.0, 11, down) == ()
         assert audit("lambda_s_B", 1.0, 0.0, 11, down) == ()
 
-        # Q = 3 + 1/k_B falls along delta_O_B either way the axis runs.
+        # Q = 3 + 1/k_B falls along delta_O_B either way the axis runs, on
+        # one block and on three.
         up = Direction.NONDECREASING
-        ascending = audit("delta_O_B", 1.0, 3.5, 201, up)
-        descending = audit("delta_O_B", 3.5, 1.0, 201, up)
-        assert len(ascending) == len(descending) == 5
-        for a, d in zip(ascending, descending):
-            assert d.axis_lo < d.axis_hi and d.q_lo > d.q_hi
-            assert d.axis_lo == pytest.approx(a.axis_lo, abs=1e-12)
-            assert d.q_hi == pytest.approx(a.q_hi, abs=1e-12)
+        for resolution, violations in ((201, 5), (2 * _SWEEP_BLOCK + 5, 183)):
+            ascending = audit("delta_O_B", 1.0, 3.5, resolution, up)
+            descending = audit("delta_O_B", 3.5, 1.0, resolution, up)
+            assert len(ascending) == len(descending) == violations
+            for a, d in zip(ascending, descending):
+                assert d.axis_lo < d.axis_hi and d.q_lo > d.q_hi
+                assert d.axis_lo == pytest.approx(a.axis_lo, abs=1e-12)
+                assert d.q_hi == pytest.approx(a.q_hi, abs=1e-12)
 
     def test_axis_mismatch_rejected(self, balanced_population):
         spec = SweepSpec(
