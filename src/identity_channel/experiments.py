@@ -249,7 +249,7 @@ def _csv_lines(fields: list[np.ndarray]) -> bytes:
     return grid[grid != 0].tobytes()
 
 
-def write_sweep_csv(result: SweepResult, handle) -> None:
+def write_sweep_csv(result: SweepResult, handle, axis_text=None) -> None:
     """Write one block's CSV rows, one per solved cell, to the binary file `handle`.
 
     Rows carry 12 significant digits under `SWEEP_CSV_HEADER`; a 1-D
@@ -259,19 +259,25 @@ def write_sweep_csv(result: SweepResult, handle) -> None:
     `_distinct_text` says why values repeat), so the writer's memory is
     bounded by the block whatever the grid size.  The case labels are
     quoted by csv.writer; the bytes are those csv.writer would write.
+
+    `axis_text`, a dict kept across the blocks of one sweep, holds each
+    axis's last formatted range: a 2-D sweep's second axis spans the same
+    range in block after block, so its text is formatted once.
     """
     if len(result.solved) == 0:
         return
+    if axis_text is None:
+        axis_text = {}
     fields = []
-    for axis, i in zip(
-        result.spec.axes, np.unravel_index(result.solved, result.spec.shape)
-    ):
+    index = np.unravel_index(result.solved, result.spec.shape)
+    for k, (axis, i) in enumerate(zip(result.spec.axes, index)):
         # A block's cells are consecutive grid positions, so each axis's
         # indices span a range no longer than the block or the axis.
-        first = int(i.min())
-        values = axis.values(np.arange(first, int(i.max()) + 1))
-        text = np.array([_fmt(v) for v in values.tolist()], dtype="S")
-        fields.append(text[i - first])
+        span = (int(i.min()), int(i.max()) + 1)
+        if axis_text.get(k, (None,))[0] != span:
+            values = axis.values(np.arange(*span)).tolist()
+            axis_text[k] = (span, np.array([_fmt(v) for v in values], dtype="S"))
+        fields.append(axis_text[k][1][i - span[0]])
     if len(fields) == 1:
         fields.append(np.zeros(len(result.solved), dtype="S1"))
     fields += [
@@ -352,6 +358,7 @@ def stream_sweep(
     min_Q, max_Q = math.inf, -math.inf
     last = None
     found = []
+    axis_text = {}
     sink = contextlib.nullcontext() if out is None else _replace_on_success(out)
     with sink as handle:
         if handle is not None:
@@ -359,7 +366,7 @@ def stream_sweep(
         for start in range(0, math.prod(spec.shape), _SWEEP_BLOCK):
             block = run_sweep(spec, start)
             if handle is not None:
-                write_sweep_csv(block, handle)
+                write_sweep_csv(block, handle, axis_text)
             rows += len(block.Q)
             skipped += len(block.skipped)
             if len(block.Q) == 0:
