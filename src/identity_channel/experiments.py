@@ -1,10 +1,10 @@
 """Parameter sweeps, monotonicity audits and Monte Carlo validation.
 
-Sweeps evaluate the closed-form equilibrium on a 1-D or 2-D parameter grid
-and serialize the results to CSV; the audit checks the expected direction
-of the equilibrium quality along single-parameter sweeps; the Monte Carlo
-routine validates that realized decoding accuracy matches quality / 4 for
-believing receivers.
+Sweeps evaluate the closed-form equilibrium on a 1-D or 2-D parameter grid,
+one block at a time, and serialize the results to CSV; the audit checks the
+expected direction of the equilibrium quality along single-parameter sweeps;
+the Monte Carlo routine validates that realized decoding accuracy matches
+quality / 4 for believing receivers.
 """
 
 from __future__ import annotations
@@ -274,10 +274,11 @@ def write_sweep_csv(result: SweepResult, handle, axis_text=None) -> None:
         # A block's cells are consecutive grid positions, so each axis's
         # indices span a range no longer than the block or the axis.
         span = (int(i.min()), int(i.max()) + 1)
-        if axis_text.get(k, (None,))[0] != span:
+        held = axis_text.get(k)
+        if held is None or held[0] != span:
             values = axis.values(np.arange(*span)).tolist()
-            axis_text[k] = (span, np.array([_fmt(v) for v in values], dtype="S"))
-        fields.append(axis_text[k][1][i - span[0]])
+            held = axis_text[k] = (span, np.array([_fmt(v) for v in values], dtype="S"))
+        fields.append(held[1][i - span[0]])
     if len(fields) == 1:
         fields.append(np.zeros(len(result.solved), dtype="S1"))
     fields += [
