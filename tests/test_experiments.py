@@ -21,6 +21,7 @@ from identity_channel.experiments import (
     run_sweep,
     stream_sweep,
     write_simulation_csv,
+    write_sweep_csv,
 )
 from identity_channel.model import (
     IdentityProfile,
@@ -172,6 +173,58 @@ class TestRunSweep:
             SweepSpec(balanced_population, axes, simplex_constrained=True), 0
         )
         assert len(result.Q) + len(result.skipped) == 9
+
+    def test_result_memory_bounded_per_cell(self, balanced_population):
+        axes = (
+            SweepAxis("delta_O_A", 0.0, 6.0, 201),
+            SweepAxis("delta_O_B", 0.0, 6.0, 201),
+        )
+        spec = SweepSpec(balanced_population, axes)
+        run_sweep(SweepSpec(balanced_population, axes[:1]), 0)  # first-call set-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_sweep(spec, 0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Columns hold 56 bytes per solved cell and 8 per skipped one; a
+        # Python object per cell would take several times that.
+        assert retained <= 100 * _SWEEP_BLOCK
+        assert len(result.Q) + len(result.skipped) == _SWEEP_BLOCK
+        last = run_sweep(spec, 201 * 201 - 1)
+        assert len(last.Q) + len(last.skipped) == 1
+
+    def test_csv_writer_memory_bounded_in_rows(self, balanced_population, tmp_path):
+        def peak_traced_bytes(resolution):
+            axes = tuple(
+                SweepAxis(name, 1.0, 6.0, resolution)
+                for name in ("delta_O_A", "delta_O_B")
+            )
+            spec = SweepSpec(balanced_population, axes)
+            blocks = [
+                run_sweep(spec, start)
+                for start in range(0, resolution**2, _SWEEP_BLOCK)
+            ]
+            assert sum(len(block.Q) for block in blocks) == resolution**2
+            axis_text = {}
+            with open(tmp_path / "sweep.csv", "wb") as handle:
+                tracemalloc.start()
+                try:
+                    tracemalloc.reset_peak()
+                    for block in blocks:
+                        write_sweep_csv(block, handle, axis_text)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak_traced_bytes(8)  # first-call set-up
+        one_block = peak_traced_bytes(64)  # 4096 rows
+        eight_blocks = peak_traced_bytes(181)  # 32761 rows
+        # The writer holds one block's text at a time, so blocks differ
+        # only in field widths; a writer holding every row's text peaks
+        # at ~200 bytes per row of all rows.
+        assert eight_blocks <= one_block + 8 * _SWEEP_BLOCK
 
     @pytest.mark.parametrize(
         "names, one_block, eight_blocks",
