@@ -29,6 +29,9 @@ from .model import (
 )
 from .receiver import believes
 
+#: Each receiver type's four parameters within a row in `PARAM_NAMES` order.
+_COLUMNS = {Group.A: slice(0, 4), Group.B: slice(4, 8)}
+
 
 class IndeterminateParams(ValueError):
     """A receiver type with all weights zero has no augmented parameter."""
@@ -79,24 +82,32 @@ class LpSolution:
     quality: float
 
 
-def _augmented(params):
-    """(k_A, k_B) of parameter columns; NaN where a receiver has no weights.
+def type_ratio(group: Group, params) -> tuple[np.ndarray, np.ndarray]:
+    """Validity and augmented ratio k of one receiver type's parameters.
 
-    Division by a zero denominator gives +inf (the numerator is then
-    non-negative) or, over a zero numerator, NaN; callers silence the
-    floating-point warnings.
+    The first stage of `solve_batch`.  `params` holds the type's four
+    parameters in `PARAM_NAMES` order (accuracy weight, identity weight,
+    in-group and out-group penalty), each a float or an array.  A column is
+    valid when its parameters are finite and non-negative, its out-group
+    penalty is at least its in-group penalty, and its k is not NaN, as it
+    is for a receiver with no weights.  Division by a zero denominator
+    gives +inf where the numerator is positive.
     """
-    la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B = params
-    return (
-        (ls_A * dI_A + la_A) / (ls_A * dO_A - la_A),
-        (ls_B * dO_B - la_B) / (ls_B * dI_B + la_B),
-    )
+    params = np.asarray(params, dtype=float)
+    la, ls, dI, dO = params
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if group is Group.A:
+            k = (ls * dI + la) / (ls * dO - la)
+        else:
+            k = (ls * dO - la) / (ls * dI + la)
+    valid = (np.isfinite(params) & (params >= 0.0)).all(axis=0)
+    return valid & (dO >= dI) & ~np.isnan(k), k
 
 
 def augmented_params(population: Population) -> AugmentedParams:
     """Compute (k_A, k_B); degenerate all-zero receivers raise."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ks = _augmented(_row(population))
+    row = _row(population)
+    ks = [type_ratio(group, row[_COLUMNS[group]])[1] for group in Group]
     for group, k in zip(Group, ks):
         if np.isnan(k):
             raise IndeterminateParams(
@@ -177,54 +188,69 @@ def solve_batch(params: np.ndarray) -> BatchEquilibrium:
     """Analytic equilibria of populations given as rows of their parameters.
 
     `params` has shape (N, 8), columns in `PARAM_NAMES` order.  A row is
-    solved when its parameters are finite and non-negative, both receiver
-    types satisfy the penalty-ordering restriction, and neither has all
-    weights zero.
+    solved when both receiver types' parameters are valid by `type_ratio`,
+    which also gives (k_A, k_B); `solve_cells` then solves the solved rows.
+    Raises NoFeasibleEncoding if a solved row has no believed point.
+    """
+    p = np.ascontiguousarray(np.asarray(params, dtype=float).T)
+    valid_A, k_A = type_ratio(Group.A, p[_COLUMNS[Group.A]])
+    valid_B, k_B = type_ratio(Group.B, p[_COLUMNS[Group.B]])
+    solved = valid_A & valid_B
+    (rows,) = np.nonzero(solved)
+    n_A, n_B = np.zeros_like(k_A), np.zeros_like(k_A)
+    case = np.zeros(len(k_A), dtype=np.intp)
+    case[rows], n_A[rows], n_B[rows] = solve_cells(
+        k_A[rows], k_B[rows], np.take(p, rows, axis=1)
+    )
+    return BatchEquilibrium(
+        solved=solved,
+        k_A=k_A,
+        k_B=k_B,
+        case=case,
+        n_A=n_A,
+        n_B=n_B,
+        quality=2.0 + n_A + n_B,
+    )
 
-    Each case of the table whose closure contains (k_A, k_B) proposes an
-    (n_A, n_B) point; boundary and infinite-parameter inputs fall in several
-    closures.  Only solved rows are cased, and their candidates form one
-    flat list of (cell, case) pairs, cell-major, so each cell's candidates
-    are contiguous and in table order; a point is computed only for its own
+
+def solve_cells(k_A, k_B, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(case, n_A, n_B) of M valid populations: the second stage of `solve_batch`.
+
+    `k_A` and `k_B` are the populations' augmented ratios from `type_ratio`
+    and `params` their eight parameters as (8, M) columns in `PARAM_NAMES`
+    order.  Each case of the table whose closure contains (k_A, k_B)
+    proposes an (n_A, n_B) point; boundary and infinite-parameter inputs
+    fall in several closures.  The candidates form one flat list of
+    (cell, case) pairs, cell-major, so each cell's candidates are
+    contiguous and in table order; a point is computed only for its own
     case.  A point sitting exactly on a constraint boundary can round to a
     residual a few ulps below zero, so the points that a type rejects at
     the first test are backed off by `_nudge`.  Within each cell's run of
     candidates the believed point of maximal quality wins, the first in
     table order on exact quality ties.  Raises NoFeasibleEncoding if a
-    solved row has no believed point.
+    cell has no believed point.
     """
-    p = np.ascontiguousarray(np.asarray(params, dtype=float).T)
-    _, _, dI_A, dO_A, _, _, dI_B, dO_B = p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_A, k_B = _augmented(p)
-        solved = (
-            (np.isfinite(p) & (p >= 0.0)).all(axis=0)
-            & (dO_A >= dI_A)
-            & (dO_B >= dI_B)
-            & ~np.isnan(k_A)
-            & ~np.isnan(k_B)
-        )
-    (rows,) = np.nonzero(solved)
-    kA, kB = k_A[rows], k_B[rows]
-    # Closure of each case in CASE_LABELS order, one row per solved cell;
-    # its flat nonzero positions are the (cell, case) pairs, cell-major.
+    if not len(k_A):
+        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0)
+    # Closure of each case in CASE_LABELS order, one row per cell; its flat
+    # nonzero positions are the (cell, case) pairs, cell-major.
     closure = np.stack([
-        (kA <= 0.0) & (kB <= 0.0),
-        (kB >= kA) & (kA >= 0.0),
-        (0.0 <= kA) & (kA <= 1.0) & (kA >= kB),
-        (kA >= 1.0) & (1.0 >= kB),
-        (kA >= kB) & (kB >= 1.0),
-        (kB >= 0.0) & (0.0 >= kA),
+        (k_A <= 0.0) & (k_B <= 0.0),
+        (k_B >= k_A) & (k_A >= 0.0),
+        (0.0 <= k_A) & (k_A <= 1.0) & (k_A >= k_B),
+        (k_A >= 1.0) & (1.0 >= k_B),
+        (k_A >= k_B) & (k_B >= 1.0),
+        (k_B >= 0.0) & (0.0 >= k_A),
     ], axis=1)
     cell, case = np.divmod(np.flatnonzero(closure), len(CASE_LABELS))
-    kA, kB = kA[cell], kB[cell]
+    kA, kB = k_A[cell], k_B[cell]
     # Each candidate's point for its own case: (1, 1), (0, 0), (1, k_A),
     # (1, 1), (1/k_B, 1) and (min(1, 1/k_B), 1), which is 1 at k_B = 0.
     with np.errstate(divide="ignore"):
         a = np.where(case >= 4, np.minimum(1.0, 1.0 / kB), case != 1)
     b = np.where(case == 2, kA, case != 1)
 
-    pts = np.take(p, rows[cell], axis=1)
+    pts = np.take(params, cell, axis=1)
     bel_A, bel_B = believes((1.0, 1.0, a, b), pts)
     ok = bel_A & bel_B
     (rejected,) = np.nonzero(~ok)
@@ -234,25 +260,13 @@ def solve_batch(params: np.ndarray) -> BatchEquilibrium:
     )
     a[rejected], b[rejected] = a_r, b_r
 
-    n_A, n_B = np.zeros_like(k_A), np.zeros_like(k_A)
-    best_case = np.zeros(len(k_A), dtype=np.intp)
-    if len(rows):
-        q = np.where(ok, 2.0 + a + b, -np.inf)
-        best = np.maximum.reduceat(q, np.flatnonzero(_run_starts(cell)))
-        if len(best) < len(rows) or best.min() == -np.inf:
-            raise NoFeasibleEncoding("no analytic candidate is feasible")
-        (top,) = np.nonzero(q == best[cell])
-        win = top[_run_starts(cell[top])]
-        best_case[rows], n_A[rows], n_B[rows] = case[win], a[win], b[win]
-    return BatchEquilibrium(
-        solved=solved,
-        k_A=k_A,
-        k_B=k_B,
-        case=best_case,
-        n_A=n_A,
-        n_B=n_B,
-        quality=2.0 + n_A + n_B,
-    )
+    q = np.where(ok, 2.0 + a + b, -np.inf)
+    best = np.maximum.reduceat(q, np.flatnonzero(_run_starts(cell)))
+    if len(best) < len(k_A) or best.min() == -np.inf:
+        raise NoFeasibleEncoding("no analytic candidate is feasible")
+    (top,) = np.nonzero(q == best[cell])
+    win = top[_run_starts(cell[top])]
+    return case[win], a[win], b[win]
 
 
 def _row(population: Population) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import CASE_LABELS, solve_batch
+from .equilibrium import CASE_LABELS, solve_cells, type_ratio
 from .model import (
     PARAM_NAMES,
     Group,
@@ -33,9 +33,12 @@ from .receiver import believes
 
 _AUDIT_TOL = 1e-9
 
-#: Grid cells solved per batch: bounds a sweep's working arrays whatever the
-#: grid size, and is large enough that per-batch overhead is negligible.
-_SWEEP_BLOCK = 4096
+#: Grid cells solved per block: bounds a sweep's working arrays (a traced
+#: peak of about 2 MiB at 8192 cells) whatever the grid size.  Each block
+#: also costs about 0.4 ms whatever its size, beside about 0.45 us per cell
+#: (a fit over blocks of 512 to 8192 cells of the 201x201 benchmark grid,
+#: 2-CPU host), so at 8192 cells that fixed cost is about a tenth of a block.
+_SWEEP_BLOCK = 8192
 
 #: Monte Carlo plays sampled per block, each block from its own random
 #: stream: bounds each worker's working arrays whatever N is, and keeps them
@@ -152,7 +155,9 @@ class SweepResult:
     `solved` and `skipped` are flat row-major positions in the grid of
     `spec` (see `coordinates`).  The other arrays hold one entry per solved
     cell, aligned with `solved`; `case` indexes `CASE_LABELS`.  Every encoding
-    has m_A = m_B = 1.
+    has m_A = m_B = 1.  `k_rows` holds, for receiver types A and B, the
+    first of the type rows the block's cells use and k of each row from
+    there on (see `_type_rows`), whether or not a cell using it was solved.
     """
 
     spec: SweepSpec
@@ -164,6 +169,7 @@ class SweepResult:
     n_A: np.ndarray
     n_B: np.ndarray
     Q: np.ndarray
+    k_rows: tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]
 
     def coordinates(self, positions: np.ndarray) -> list[np.ndarray]:
         """Axis values at flat grid `positions`, one array per axis."""
@@ -171,28 +177,83 @@ class SweepResult:
         return [axis.values(i) for axis, i in zip(self.spec.axes, index)]
 
 
+def _moving(spec: SweepSpec, group: Group) -> list[int]:
+    """The axes along which receiver type `group`'s parameters change.
+
+    An axis moves the type its name ends in; its simplex complement is the
+    same type's other weight.
+    """
+    suffix = f"_{group.value}"
+    return [k for k, axis in enumerate(spec.axes) if axis.name.endswith(suffix)]
+
+
+def _type_rows(spec: SweepSpec, group: Group, index) -> np.ndarray:
+    """The row of receiver type `group`'s parameters at each cell of grid `index`.
+
+    A type's parameters depend only on the indices of the axes that move
+    it, so its rows number those indices row-major: all 0 for a type no
+    axis moves, an axis's index for a type one axis moves, and the grid
+    position for a type both axes move.  `index` holds the cells' index
+    along each axis.
+    """
+    row = np.zeros_like(index[0])
+    for k in _moving(spec, group):
+        row = row * spec.shape[k] + index[k]
+    return row
+
+
+def _type_params(spec: SweepSpec, group: Group, rows: np.ndarray) -> np.ndarray:
+    """Receiver type `group`'s four parameters, as columns, at its `rows`."""
+    names = [name for name in PARAM_NAMES if name.endswith(f"_{group.value}")]
+    base = population_params(spec.base)
+    params = np.repeat(np.array([base[name] for name in names])[:, None], len(rows), 1)
+    moving = _moving(spec, group)
+    index = np.unravel_index(rows, [spec.shape[k] for k in moving]) if moving else ()
+    for k, i in zip(moving, index):
+        axis = spec.axes[k]
+        values = axis.values(i)
+        params[names.index(axis.name)] = values
+        if spec.simplex_constrained and axis.name in _COMPLEMENT:
+            params[names.index(_COMPLEMENT[axis.name])] = 1.0 - values
+    return params
+
+
 def run_sweep(spec: SweepSpec, start: int) -> SweepResult:
     """Evaluate the closed-form equilibrium on one block of the grid.
 
     The block is grid positions [start, start + `_SWEEP_BLOCK`) in row-major
-    order, cut at the grid's end, solved at once by the batch solver.  Cells
-    whose parameters are invalid (e.g. a negative simplex complement), that
-    violate the penalty-ordering restriction, or whose swept receiver has
-    all weights zero are skipped and reported by grid position.
-    `stream_sweep` runs every block of a grid.
+    order, cut at the grid's end.  Each receiver type's parameters, their
+    validity and k are computed once per type row in the block's range
+    (`_type_rows`) by `type_ratio`; a cell takes its types' rows, and the
+    cells whose types are both valid are solved at once by `solve_cells`.
+    Cells whose parameters are invalid (e.g. a negative simplex
+    complement), that violate the penalty-ordering restriction, or whose
+    receiver has all weights zero are skipped and reported by grid
+    position.  `stream_sweep` runs every block of a grid.
     """
     position = np.arange(start, min(start + _SWEEP_BLOCK, math.prod(spec.shape)))
-    base = np.array(list(population_params(spec.base).values()))
-    params = np.repeat(base[:, None], len(position), axis=1)
-    for axis, i in zip(spec.axes, np.unravel_index(position, spec.shape)):
-        values = axis.values(i)
-        params[PARAM_NAMES.index(axis.name)] = values
-        if spec.simplex_constrained and axis.name in _COMPLEMENT:
-            params[PARAM_NAMES.index(_COMPLEMENT[axis.name])] = 1.0 - values
-    batch = solve_batch(params.T)
-    ok = batch.solved
-    fields = (batch.k_A, batch.k_B, batch.case, batch.n_A, batch.n_B, batch.quality)
-    return SweepResult(spec, position[ok], position[~ok], *(f[ok] for f in fields))
+    index = np.unravel_index(position, spec.shape)
+    ok = np.ones(len(position), dtype=bool)
+    rows, params, k_rows = [], [], []
+    for group in Group:
+        row = _type_rows(spec, group, index)
+        first, end = int(row.min()), int(row.max()) + 1
+        row -= first
+        p = _type_params(spec, group, np.arange(first, end))
+        valid, k = type_ratio(group, p)
+        ok &= valid[row]
+        rows.append(row)
+        params.append(p)
+        k_rows.append((first, k))
+    rows = [row[ok] for row in rows]
+    k_A, k_B = (k[row] for (_, k), row in zip(k_rows, rows))
+    case, n_A, n_B = solve_cells(
+        k_A, k_B, np.concatenate([np.take(p, row, 1) for p, row in zip(params, rows)])
+    )
+    return SweepResult(
+        spec, position[ok], position[~ok], k_A, k_B, case, n_A, n_B,
+        2.0 + n_A + n_B, tuple(k_rows),
+    )
 
 
 def _fmt(value: float) -> str:
@@ -217,18 +278,25 @@ _CASE_TEXT = np.array([_csv_field(label) for label in CASE_LABELS], dtype="S")
 def _distinct_text(column: np.ndarray) -> np.ndarray:
     """Each float of `column` as `_fmt` bytes, each distinct value formatted once.
 
-    A sweep's columns repeat: k_A depends on type A's parameters only and
-    k_B on type B's, n_A is 0, 1 or a function of k_B, n_B is 0, 1 or k_A,
-    and no case moves both, so Q = 2 + n_A + n_B follows one k at a time.
-    A block of a sweep over both types' parameters thus holds a few
-    percent distinct values per column; one over a single type's
-    parameters at most three columns of distinct values, the other two
-    constant.
+    n_A, n_B and Q repeat within a sweep block: n_A is 0, 1 or a function
+    of k_B, n_B is 0, 1 or k_A, and no case moves both, so Q = 2 + n_A +
+    n_B follows one k at a time, and each k takes one value per type row.
     Values are told apart by their bits, so -0.0 and 0.0 keep their own text.
     """
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
     text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype="S")
     return text[inverse]
+
+
+def _span_text(held: dict, key, span: tuple[int, int], values) -> np.ndarray:
+    """`_fmt` bytes of `values(span)`, formatted again only when `span` changes.
+
+    `held` keeps each key's last span and text across the blocks of a sweep.
+    """
+    if key not in held or held[key][0] != span:
+        text = [_fmt(v) for v in values(span).tolist()]
+        held[key] = (span, np.array(text, dtype="S"))
+    return held[key][1]
 
 
 def _csv_lines(fields: list[np.ndarray]) -> bytes:
@@ -254,15 +322,17 @@ def write_sweep_csv(result: SweepResult, handle, axis_text=None) -> None:
 
     Rows carry 12 significant digits under `SWEEP_CSV_HEADER`; a 1-D
     sweep's axis2 is empty.  Each axis value is converted to text once per
-    grid index in the block's range, and each other float column once per
-    distinct value of the block (by bits, so -0.0 stays "-0";
-    `_distinct_text` says why values repeat), so the writer's memory is
-    bounded by the block whatever the grid size.  The case labels are
-    quoted by csv.writer; the bytes are those csv.writer would write.
+    grid index in the block's range, k_A and k_B once per type row of
+    `result.k_rows`, and n_A, n_B and Q once per distinct value of the
+    block (by bits, so -0.0 stays "-0"; `_distinct_text` says why values
+    repeat), so the writer's memory is bounded by the block whatever the
+    grid size.  The case labels are quoted by csv.writer; the bytes are
+    those csv.writer would write.
 
     `axis_text`, a dict kept across the blocks of one sweep, holds each
-    axis's last formatted range: a 2-D sweep's second axis spans the same
-    range in block after block, so its text is formatted once.
+    axis's and each receiver type's last formatted range: a 2-D sweep's
+    second axis, and the type it moves, span the same range in block after
+    block, so their text is formatted once.
     """
     if len(result.solved) == 0:
         return
@@ -274,16 +344,15 @@ def write_sweep_csv(result: SweepResult, handle, axis_text=None) -> None:
         # A block's cells are consecutive grid positions, so each axis's
         # indices span a range no longer than the block or the axis.
         span = (int(i.min()), int(i.max()) + 1)
-        held = axis_text.get(k)
-        if held is None or held[0] != span:
-            values = axis.values(np.arange(*span)).tolist()
-            held = axis_text[k] = (span, np.array([_fmt(v) for v in values], dtype="S"))
-        fields.append(held[1][i - span[0]])
+        text = _span_text(axis_text, k, span, lambda s: axis.values(np.arange(*s)))
+        fields.append(text[i - span[0]])
     if len(fields) == 1:
         fields.append(np.zeros(len(result.solved), dtype="S1"))
+    for group, (first, ratios) in zip(Group, result.k_rows):
+        span = (first, first + len(ratios))
+        text = _span_text(axis_text, group, span, lambda _: ratios)
+        fields.append(text[_type_rows(result.spec, group, index) - first])
     fields += [
-        _distinct_text(result.k_A),
-        _distinct_text(result.k_B),
         _CASE_TEXT[result.case],
         _distinct_text(result.n_A),
         _distinct_text(result.n_B),

@@ -20,16 +20,24 @@ def whole_sweep():
     """A function solving every block of a sweep into one joined SweepResult.
 
     The program holds one block at a time; tests that compare a whole grid
-    with a reference join the blocks' columns here.
+    with a reference join the blocks' columns here, and each receiver
+    type's k per row over all the blocks' rows.
     """
+
+    def join_rows(k_rows):
+        k = np.empty(max(first + len(part) for first, part in k_rows))
+        for first, part in k_rows:
+            k[first : first + len(part)] = part
+        return 0, k
 
     def solve(spec):
         cells = math.prod(spec.shape)
         blocks = [run_sweep(spec, start) for start in range(0, cells, _SWEEP_BLOCK)]
-        columns = [field.name for field in dataclasses.fields(SweepResult)][1:]
+        columns = [field.name for field in dataclasses.fields(SweepResult)][1:-1]
         return SweepResult(
             spec,
             *(np.concatenate([getattr(b, name) for b in blocks]) for name in columns),
+            k_rows=tuple(join_rows(rows) for rows in zip(*(b.k_rows for b in blocks))),
         )
 
     return solve

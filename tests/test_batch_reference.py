@@ -8,6 +8,7 @@ order: per-cell records are compared with ==, CSVs byte for byte.
 """
 
 import csv
+import hashlib
 import math
 from collections import namedtuple
 
@@ -226,7 +227,7 @@ GRIDS = {
         {"-0"},
     ),
     "several-blocks": (
-        {}, [("delta_O_A", 0.0, 6.0, 81), ("delta_O_B", 0.0, 6.0, 61)], False,
+        {}, [("delta_O_A", 0.0, 6.0, 121), ("delta_O_B", 0.0, 6.0, 81)], False,
         {"several blocks", "AssumptionViolated"},
     ),
     # k_A = 1/(delta_O_A - 0.5) and k_B = delta_O_B - 0.5 land exactly on
@@ -237,22 +238,86 @@ GRIDS = {
         [("delta_O_A", 0.0, 4.0, 17), ("delta_O_B", 0.0, 4.0, 17)], False,
         {"inf", "k_A=1", "k_B=1", "k_B=0", "k_A=k_B", "several closures"},
     ),
-    # Its first two delta_O_A rows, 4098 cells, violate the restriction.
+    # Its first two delta_O_A rows, 8194 cells, violate the restriction.
     "first-block-skipped": (
-        {}, [("delta_O_A", 0.0, 2.0, 5), ("delta_O_B", 0.0, 4.0, 2049)], False,
+        {}, [("delta_O_A", 0.0, 2.0, 5), ("delta_O_B", 0.0, 4.0, 4097)], False,
         {"first block skipped", "several blocks", "AssumptionViolated"},
     ),
+    # Each receiver type's parameters follow the axes that move it: here
+    # type B's follow the first axis and type A's the second.
+    "type-B-then-type-A": (
+        {}, [("delta_O_B", 0.0, 6.0, 61), ("lambda_s_A", 0.0, 1.0, 151)], False,
+        {"several blocks", "AssumptionViolated"},
+    ),
+    # Type B's parameters change with every cell and type A's never.
+    "both-axes-type-B": (
+        {"lambda_a_B": 0.0},
+        [("lambda_s_B", 0.0, 1.0, 91), ("delta_O_B", 0.0, 4.0, 91)], False,
+        {"several blocks", "AssumptionViolated", "IndeterminateParams"},
+    ),
+    "simplex-type-B-weight": (
+        {}, [("delta_O_A", 0.0, 4.0, 41), ("lambda_s_B", 0.0, 1.5, 61)], True,
+        {"AssumptionViolated", "ValueError"},
+    ),
 }
+
+
+def spec_of(overrides, axes, simplex):
+    return SweepSpec(
+        base=population_from_params({**BASE, **overrides}),
+        axes=tuple(SweepAxis(*axis) for axis in axes),
+        simplex_constrained=simplex,
+    )
+
+
+#: The README's balanced configuration over delta_O_A x delta_O_B.
+BALANCED_GRID = ({}, [("delta_O_A", 0.0, 6.0, 201), ("delta_O_B", 0.0, 6.0, 201)], False)
+
+#: sha256 of the streamed CSV of every grid above and of `BALANCED_GRID`,
+#: so the bytes cannot change unnoticed: a change of the sweep output that
+#: is meant updates these and says so in CHANGES.md.
+CSV_SHA256 = {
+    "six-cases-and-negative-complement":
+        "32ca9121b1c7b00bc6dd2fc8d029dad90c0b9753fe2bea3eab955fed185c7308",
+    "infinite-k_A":
+        "de856bcf53d047dffef8c69cdd9978f3b40654a564ee9aa10fca000cb785d879",
+    "indeterminate-2d":
+        "69691776012df650cf551f08cd28cb96bb6a94b8fbd6d8610449d0c4e9cc9190",
+    "indeterminate-1d":
+        "cbe6ae918d3c0cb18f2f20ee63b1ba7fc22750f8d0e59edc3d91cbec86b17a67",
+    "restriction-1d":
+        "f46a548fe39d6d3c41d48fd3f4fbda115fdecdce463ce64a84aa21f328949f0b",
+    "signed-zero-axis":
+        "0860f0cce45731eff8c1c3910c105d96b3cf12dc0826b09e0293af9bb26510ad",
+    "several-blocks":
+        "48268ca3c1f71de003e4b8db62db73a17ded3bbc95b5844284209e891fcd88a9",
+    "closure-ties":
+        "a55f5b84b17c3ef8a97cdb57e76b321026b4f08390a488cea0e7147a1f77fd38",
+    "first-block-skipped":
+        "5f384e18081a0ab8af88a507a02c91ee9a7a1a684f8a37687ae547d3be53f417",
+    "type-B-then-type-A":
+        "5bd04f7e80b9e5f1a7b7ddd6e7664157f0a0b49de939bc55275bb58e90357f16",
+    "both-axes-type-B":
+        "0900175e25d7b5b74fffb2fe962048e9b891a10faa9e949d06f59a8722eb5791",
+    "simplex-type-B-weight":
+        "f8f7434bc2021be411b6a002239944a15e3a46bdaf17c30080da848dcd5a7641",
+    "balanced-201x201":
+        "5b1cdd63b44157ac47ff14388baa4e7679177ae277943b24c64965da817fd571",
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_SHA256))
+def test_sweep_csv_digest(name, tmp_path):
+    grid = GRIDS[name][:3] if name in GRIDS else BALANCED_GRID
+    out = tmp_path / "sweep.csv"
+    stream_sweep(spec_of(*grid), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256[name]
 
 
 @pytest.mark.parametrize("name", list(GRIDS))
 def test_sweep_matches_reference(name, tmp_path, whole_sweep):
     overrides, axes, simplex, features = GRIDS[name]
-    spec = SweepSpec(
-        base=population_from_params({**BASE, **overrides}),
-        axes=tuple(SweepAxis(*axis) for axis in axes),
-        simplex_constrained=simplex,
-    )
+    spec = spec_of(overrides, axes, simplex)
     expected, skipped, reasons = reference_sweep(spec)
     result = whole_sweep(spec)
     records = records_of(result)
@@ -292,8 +357,10 @@ def test_sweep_matches_reference(name, tmp_path, whole_sweep):
 def test_csv_text_of_distinct_bits(tmp_path):
     """Columns holding values that compare or print alike, over several blocks.
 
-    The writer formats each distinct value of a block once; values equal as
-    floats but not as bits (0.0 and -0.0) must keep their own text.
+    The writer formats k_A and k_B once per type row, cached while a type's
+    rows repeat from block to block, and each other float column once per
+    distinct value of a block; values equal as floats but not as bits (0.0
+    and -0.0) must keep their own text.
     """
     straddle = 0.1234567890125
     values = np.array([
@@ -304,32 +371,47 @@ def test_csv_text_of_distinct_bits(tmp_path):
     assert _fmt(values[4]) == _fmt(values[5])
     assert _fmt(values[6]) != _fmt(values[7])
 
-    cells = 2 * _SWEEP_BLOCK + 5
+    # Type A's rows follow the first axis, type B's the second; the second
+    # block repeats the first block's type-B rows and the third holds one.
+    rows_B = 2 * _SWEEP_BLOCK // 3 + 1
     spec = SweepSpec(
         base=population_from_params(BASE),
-        axes=(SweepAxis("delta_O_B", 0.0, 1.0, cells),),
+        axes=(SweepAxis("delta_O_A", 0.0, 1.0, 3), SweepAxis("delta_O_B", 0.0, 1.0, rows_B)),
     )
+    cells = math.prod(spec.shape)
+    assert 2 * _SWEEP_BLOCK < cells < 2 * _SWEEP_BLOCK + rows_B
+    k_rows = (values[[1, 4, 7]], values[np.arange(rows_B) % 8])
     position = np.arange(cells)
     solved = position[position % 7 != 3]
     i = np.arange(len(solved))
-    result = SweepResult(
-        spec, solved, position[position % 7 == 3],
-        k_A=values[i % 8], k_B=values[(i + 3) % 8], case=i % len(CASE_LABELS),
+    row_A, row_B = np.unravel_index(solved, spec.shape)
+    columns = dict(
+        k_A=k_rows[0][row_A], k_B=k_rows[1][row_B], case=i % len(CASE_LABELS),
         n_A=values[i // 2 % 8], n_B=values[i // 3 % 8], Q=values[i // 5 % 8],
+    )
+    result = SweepResult(
+        spec, solved, position[position % 7 == 3], **columns,
+        k_rows=((0, k_rows[0]), (0, k_rows[1])),
     )
 
     ours, theirs = tmp_path / "batch.csv", tmp_path / "reference.csv"
+    held = {}
     with open(ours, "wb") as handle:
         handle.write(SWEEP_CSV_HEADER)
         for start in range(0, cells, _SWEEP_BLOCK):
             block = (solved >= start) & (solved < start + _SWEEP_BLOCK)
+            index = np.unravel_index(
+                np.arange(start, min(start + _SWEEP_BLOCK, cells)), spec.shape
+            )
+            spans = [(int(i.min()), int(i.max()) + 1) for i in index]
             write_sweep_csv(
                 SweepResult(
                     spec, solved[block], np.array([], dtype=int),
-                    *(getattr(result, name)[block]
-                      for name in ("k_A", "k_B", "case", "n_A", "n_B", "Q")),
+                    *(column[block] for column in columns.values()),
+                    k_rows=tuple((lo, k[lo:hi]) for k, (lo, hi) in zip(k_rows, spans)),
                 ),
                 handle,
+                held,
             )
     reference_csv(records_of(result), theirs)
     text = ours.read_bytes()

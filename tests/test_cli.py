@@ -350,13 +350,13 @@ class TestSweepCommand:
         from identity_channel import experiments
 
         calls = []
-        solve = experiments.solve_batch
+        solve = experiments.solve_cells
 
-        def counted(params):
-            calls.append(len(params))
-            return solve(params)
+        def counted(k_A, k_B, params):
+            calls.append(len(k_A))
+            return solve(k_A, k_B, params)
 
-        monkeypatch.setattr(experiments, "solve_batch", counted)
+        monkeypatch.setattr(experiments, "solve_cells", counted)
         out = tmp_path / "sweep.csv"
         code, report = run_json(
             capsys,
@@ -486,10 +486,10 @@ class TestSweepCommand:
     def test_unwritable_path_exits_2(self, balanced_config, monkeypatch):
         from identity_channel import experiments
 
-        def no_solve(params):
+        def no_solve(k_A, k_B, params):
             raise AssertionError("solved a sweep it cannot write")
 
-        monkeypatch.setattr(experiments, "solve_batch", no_solve)
+        monkeypatch.setattr(experiments, "solve_cells", no_solve)
         code = main(
             ["sweep", "--config", balanced_config, "--out", "/nonexistent/dir/o.csv"]
         )
@@ -523,16 +523,16 @@ class TestSweepCommand:
         from identity_channel import experiments
         from identity_channel.equilibrium import NoFeasibleEncoding
 
-        solve = experiments.solve_batch
+        solve = experiments.solve_cells
         calls = []
 
-        def fail_on_second_block(params):
-            calls.append(len(params))
+        def fail_on_second_block(k_A, k_B, params):
+            calls.append(len(k_A))
             if len(calls) == 2:
                 raise NoFeasibleEncoding("no encoding in the second block")
-            return solve(params)
+            return solve(k_A, k_B, params)
 
-        monkeypatch.setattr(experiments, "solve_batch", fail_on_second_block)
+        monkeypatch.setattr(experiments, "solve_cells", fail_on_second_block)
         axis = {"name": "delta_O_B", "lo": 1.0, "hi": 3.5,
                 "resolution": experiments._SWEEP_BLOCK + 5}
         path = tmp_path / "c.json"
@@ -566,7 +566,8 @@ class TestSweepCommand:
 
         # Q = 3 + 1/k_B falls once delta_O_B passes ~3.44, across the block
         # edge at grid position 8192 of the ascending axis.
-        resolution = 2 * _SWEEP_BLOCK + 5
+        assert 8192 % _SWEEP_BLOCK == 0
+        resolution = 8197
         spec = SweepSpec(
             population_from_params(balanced_params),
             (SweepAxis("delta_O_B", 1.0, 3.5, resolution),),

@@ -40,8 +40,8 @@ class TestSweepAxis:
         "lo, hi, resolution",
         [
             (0.0, 6.0, 201),
-            (1.0, 3.5, 2 * _SWEEP_BLOCK + 5),
-            (3.5, 1.0, 2 * _SWEEP_BLOCK + 5),
+            (1.0, 3.5, 8197),
+            (3.5, 1.0, 8197),
             (0.0, -0.0, 3),
             (-0.0, 0.0, 4),
             (0.0, 5e-324, 3),  # the step underflows to zero
@@ -219,8 +219,8 @@ class TestRunSweep:
                     tracemalloc.stop()
 
         peak_traced_bytes(8)  # first-call set-up
-        one_block = peak_traced_bytes(64)  # 4096 rows
-        eight_blocks = peak_traced_bytes(181)  # 32761 rows
+        one_block = peak_traced_bytes(math.isqrt(_SWEEP_BLOCK))
+        eight_blocks = peak_traced_bytes(math.isqrt(8 * _SWEEP_BLOCK))
         # The writer holds one block's text at a time, so blocks differ
         # only in field widths; a writer holding every row's text peaks
         # at ~200 bytes per row of all rows.
@@ -229,10 +229,14 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "names, one_block, eight_blocks",
         [
-            (("delta_O_A", "delta_O_B"), 64, 181),  # 4096 and 32761 cells
+            (("delta_O_A", "delta_O_B"), math.isqrt(_SWEEP_BLOCK),
+             math.isqrt(8 * _SWEEP_BLOCK)),
             (("delta_O_B",), _SWEEP_BLOCK, 8 * _SWEEP_BLOCK),
+            # Both axes move type A, whose rows then change with every cell.
+            (("lambda_s_A", "delta_O_A"), math.isqrt(_SWEEP_BLOCK),
+             math.isqrt(8 * _SWEEP_BLOCK)),
         ],
-        ids=["2-D", "1-D"],
+        ids=["2-D", "1-D", "2-D-one-type"],
     )
     def test_sweep_memory_bounded_in_blocks(
         self, balanced_population, tmp_path, names, one_block, eight_blocks
@@ -255,8 +259,10 @@ class TestRunSweep:
         one = peak_traced_bytes(one_block)
         eight = peak_traced_bytes(eight_blocks)
         # Solving and writing hold one block at a time, so blocks differ
-        # only in field widths; a sweep holding every solved cell's columns
-        # or every row's axis text peaks at tens of bytes per row of all rows.
+        # only in field widths; a sweep holding every solved cell's columns,
+        # every row's axis text, or a receiver type's parameters, k or k
+        # text for every row of its own, peaks at tens of bytes per row of
+        # all rows.
         assert eight <= one + 8 * _SWEEP_BLOCK
 
 
@@ -320,10 +326,11 @@ class TestAudit:
         self, balanced_population, whole_sweep, lo, hi, edge
     ):
         # Q = 3 + 1/k_B falls once delta_O_B passes ~3.44.  Over 1.0..3.5 at
-        # 2 * 4096 + 5 points that tail spans the block edge at position
-        # 8192; over 3.5 down to 3.4, the edge at 4096.  The streamed audit,
-        # which carries the last solved cell across each edge, must find
-        # what one pairwise pass over the joined blocks finds.
+        # 2 * _SWEEP_BLOCK + 5 points that tail spans the block edge at
+        # position 2 * _SWEEP_BLOCK; over 3.5 down to 3.4, the edge at
+        # _SWEEP_BLOCK.  The streamed audit, which carries the last solved
+        # cell across each edge, must find what one pairwise pass over the
+        # joined blocks finds.
         spec = SweepSpec(
             base=balanced_population,
             axes=(SweepAxis("delta_O_B", lo, hi, 2 * _SWEEP_BLOCK + 5),),
@@ -359,9 +366,10 @@ class TestAudit:
         assert audit("lambda_s_B", 1.0, 0.0, 11, down) == ()
 
         # Q = 3 + 1/k_B falls along delta_O_B either way the axis runs, on
-        # one block and on three.
+        # one block and across the block edge at grid position 8192.
+        assert 8192 % _SWEEP_BLOCK == 0
         up = Direction.NONDECREASING
-        for resolution, violations in ((201, 5), (2 * _SWEEP_BLOCK + 5, 183)):
+        for resolution, violations in ((201, 5), (8197, 183)):
             ascending = audit("delta_O_B", 1.0, 3.5, resolution, up)
             descending = audit("delta_O_B", 3.5, 1.0, resolution, up)
             assert len(ascending) == len(descending) == violations
