@@ -38,6 +38,7 @@ from .experiments import (
     SweepSpec,
     expected_direction,
     monte_carlo_accuracy,
+    replace_on_success,
     stream_sweep,
     write_simulation_csv,
 )
@@ -355,12 +356,13 @@ def cmd_simulate(args) -> int:
         "simulate", "seed", config.simulate.get("seed", args.seed), minimum=0
     )
     result = closed_form_equilibrium(config.population)
-    accuracy, std_error = monte_carlo_accuracy(
-        result.strategy, config.population, N, seed
-    )
     expected = result.quality / 4.0
     try:
-        write_simulation_csv(args.out, N, seed, accuracy, std_error, expected)
+        with replace_on_success(args.out) as handle:
+            accuracy, std_error = monte_carlo_accuracy(
+                result.strategy, config.population, N, seed
+            )
+            write_simulation_csv(handle, N, seed, accuracy, std_error, expected)
     except OSError as exc:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR

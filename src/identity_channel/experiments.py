@@ -35,9 +35,10 @@ _AUDIT_TOL = 1e-9
 
 #: Grid cells solved per block: bounds a sweep's working arrays (a traced
 #: peak of about 2 MiB at 8192 cells) whatever the grid size.  Each block
-#: also costs about 0.4 ms whatever its size, beside about 0.45 us per cell
-#: (a fit over blocks of 512 to 8192 cells of the 201x201 benchmark grid,
-#: 2-CPU host), so at 8192 cells that fixed cost is about a tenth of a block.
+#: also costs about 0.6 ms whatever its size, beside about 0.37 us per cell
+#: (a fit over blocks of 512 to 8192 cells of the 201x201 benchmark grid
+#: written to /dev/null, 2-CPU host; two runs gave 0.62 and 0.74 ms, 0.36
+#: and 0.39 us), so at 8192 cells that fixed cost is about a sixth of a block.
 _SWEEP_BLOCK = 8192
 
 #: Monte Carlo plays sampled per block, each block from its own random
@@ -281,11 +282,17 @@ def _distinct_text(column: np.ndarray) -> np.ndarray:
     n_A, n_B and Q repeat within a sweep block: n_A is 0, 1 or a function
     of k_B, n_B is 0, 1 or k_A, and no case moves both, so Q = 2 + n_A +
     n_B follows one k at a time, and each k takes one value per type row.
-    Values are told apart by their bits, so -0.0 and 0.0 keep their own text.
+    The distinct values are the starts of the runs of the sorted int64
+    bits, and `np.searchsorted` finds each entry's among them; told apart
+    by bits, -0.0 and 0.0 keep their own text.
     """
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype="S")
-    return text[inverse]
+    bits = column.view(np.int64)
+    ordered = np.sort(bits)
+    starts = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    distinct = ordered[starts]
+    text = np.array([_fmt(v) for v in distinct.view(np.float64).tolist()], dtype="S")
+    return text[np.searchsorted(distinct, bits)]
 
 
 def _span_text(held: dict, key, span: tuple[int, int], values) -> np.ndarray:
@@ -299,22 +306,25 @@ def _span_text(held: dict, key, span: tuple[int, int], values) -> np.ndarray:
     return held[key][1]
 
 
-def _csv_lines(fields: list[np.ndarray]) -> bytes:
+def _csv_lines(fields: list[np.ndarray]) -> np.ndarray:
     """One comma-separated line per row of the aligned bytes columns `fields`.
 
-    Each field sits NUL-padded at a fixed offset of a uint8 grid, followed
-    by its separator.  Float text and the quoted case labels hold no NUL, so
-    dropping the NULs leaves the lines; an all-NUL field comes out empty.
+    Each row is one record of a structured array: a NUL-padded field per
+    column, each followed by a one-byte separator field.  Float text and
+    the quoted case labels hold no NUL, so dropping the NULs leaves the
+    lines, as a uint8 array; an all-NUL field comes out empty.
     """
-    widths = [field.itemsize for field in fields]
-    grid = np.zeros((len(fields[0]), sum(widths) + len(widths)), dtype=np.uint8)
-    end = 0
-    for field, width in zip(fields, widths):
-        grid[:, end : end + width] = field.view(np.uint8).reshape(-1, width)
-        grid[:, end + width] = ord(",")
-        end += width + 1
-    grid[:, -1] = ord("\n")
-    return grid[grid != 0].tobytes()
+    names = [f"f{k}" for k in range(len(fields))]
+    layout = []
+    for name, field in zip(names, fields):
+        layout += [(name, field.dtype), (f"{name}_end", "S1")]
+    grid = np.empty(len(fields[0]), dtype=layout)
+    for name, field in zip(names, fields):
+        grid[name] = field
+        grid[f"{name}_end"] = b","
+    grid[f"{names[-1]}_end"] = b"\n"
+    flat = grid.view(np.uint8)
+    return flat[flat != 0]
 
 
 def write_sweep_csv(result: SweepResult, handle, axis_text=None) -> None:
@@ -325,9 +335,11 @@ def write_sweep_csv(result: SweepResult, handle, axis_text=None) -> None:
     grid index in the block's range, k_A and k_B once per type row of
     `result.k_rows`, and n_A, n_B and Q once per distinct value of the
     block (by bits, so -0.0 stays "-0"; `_distinct_text` says why values
-    repeat), so the writer's memory is bounded by the block whatever the
-    grid size.  The case labels are quoted by csv.writer; the bytes are
-    those csv.writer would write.
+    repeat).  Each column's text is gathered into one field of the block's
+    record array (`_csv_lines`), whose bytes less their padding go to
+    `handle` in one write, so the writer's memory is bounded by the block
+    whatever the grid size.  The case labels are quoted by csv.writer; the
+    bytes are those csv.writer would write.
 
     `axis_text`, a dict kept across the blocks of one sweep, holds each
     axis's and each receiver type's last formatted range: a 2-D sweep's
@@ -385,22 +397,28 @@ class SweepSummary:
 
 
 @contextlib.contextmanager
-def _replace_on_success(path):
+def replace_on_success(path):
     """A binary file to write in place of `path`, moved onto it on success.
 
-    The rows go to a new file beside the target first, so a sweep that
+    The output goes to a new file beside the target first, so a run that
     fails part-way leaves `path` absent or, if it existed, unchanged; and
-    a path that cannot be written fails before any solving.  A symbolic
-    link is followed, so the file it names is replaced.  A device or pipe
-    (`/dev/null`, `/dev/stdout`) cannot be replaced and is written directly.
+    a path that cannot be written fails before any work.  The new file is
+    named `<target>.<pid>.<n>.tmp` with the first n whose name is free, so
+    a file left by a run that was killed, whatever its process id, is left
+    alone.  A symbolic link is followed, so the file it names is replaced.
+    A device or pipe (`/dev/null`, `/dev/stdout`) cannot be replaced and
+    is written directly.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as handle:
             yield handle
         return
     target = os.path.realpath(path)
-    temporary = f"{target}.{os.getpid()}.tmp"
-    handle = open(temporary, "xb")
+    for n in itertools.count():
+        temporary = f"{target}.{os.getpid()}.{n}.tmp"
+        with contextlib.suppress(FileExistsError):
+            handle = open(temporary, "xb")
+            break
     try:
         with handle:
             yield handle
@@ -429,7 +447,7 @@ def stream_sweep(
     last = None
     found = []
     axis_text = {}
-    sink = contextlib.nullcontext() if out is None else _replace_on_success(out)
+    sink = contextlib.nullcontext() if out is None else replace_on_success(out)
     with sink as handle:
         if handle is not None:
             handle.write(SWEEP_CSV_HEADER)
@@ -625,9 +643,12 @@ def monte_carlo_accuracy(
 
 
 def write_simulation_csv(
-    path, N: int, seed: int, accuracy: float, std_error: float, expected: float
+    handle, N: int, seed: int, accuracy: float, std_error: float, expected: float
 ) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["N", "seed", "accuracy", "std_error", "expected"])
-        writer.writerow([N, seed, _fmt(accuracy), _fmt(std_error), _fmt(expected)])
+    """Write the simulation CSV, a header and one row, to the binary file `handle`.
+
+    The reals carry 12 significant digits; no field needs quoting, so the
+    bytes are those csv.writer would write.
+    """
+    row = ",".join([str(N), str(seed), _fmt(accuracy), _fmt(std_error), _fmt(expected)])
+    handle.write(f"N,seed,accuracy,std_error,expected\n{row}\n".encode())

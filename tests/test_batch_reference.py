@@ -9,11 +9,14 @@ order: per-cell records are compared with ==, CSVs byte for byte.
 
 import csv
 import hashlib
+import io
 import math
+import struct
 from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from identity_channel.equilibrium import (
     CASE_LABELS,
@@ -31,10 +34,12 @@ from identity_channel.experiments import (
     SweepAxis,
     SweepResult,
     SweepSpec,
+    _type_rows,
     stream_sweep,
     write_sweep_csv,
 )
 from identity_channel.model import (
+    PARAM_NAMES,
     Group,
     SenderStrategy,
     population_from_params,
@@ -417,6 +422,92 @@ def test_csv_text_of_distinct_bits(tmp_path):
     text = ours.read_bytes()
     assert text == theirs.read_bytes()
     assert b",-0," in text and b",0," in text and b",-inf," in text
+
+
+#: Floats whose text is easy to get wrong: signed zeros and infinities, NaN,
+#: the subnormal range's ends and the smallest normal, and values one ulp
+#: apart that print alike or apart at 12 digits.
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    2.2250738585072009e-308, 2.2250738585072014e-308, 1.0, 0.1234567890125,
+]
+
+float_bits = st.integers(-(2**63), 2**63 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<q", bits))[0]
+)
+
+#: A few floats, each with its neighbour one ulp up, for a grid's cells to
+#: share: a sweep block's columns repeat values.
+float_pools = st.lists(
+    st.one_of(st.sampled_from(SPECIAL_FLOATS), float_bits), min_size=1, max_size=4
+).map(lambda xs: np.array(xs + [math.nextafter(x, math.inf) for x in xs]))
+
+
+@st.composite
+def written_sweeps(draw):
+    """A grid's columns, solved cells and block edges, drawn freely.
+
+    Returns the whole grid as one `SweepResult` and its blocks, each as
+    `run_sweep` would cut it: consecutive grid positions with each receiver
+    type's k over the type rows those positions use.  Which pool value each
+    entry takes, which cells are solved and their cases come from a drawn
+    seed, so an example costs a few draws whatever the grid size.
+    """
+    names = draw(st.lists(st.sampled_from(PARAM_NAMES), min_size=1, max_size=2,
+                          unique=True))
+    ends = st.floats(-1e300, 1e300)
+    axes = tuple(
+        SweepAxis(name, draw(ends), draw(ends), draw(st.integers(1, 60 // len(names))))
+        for name in names
+    )
+    spec = SweepSpec(population_from_params(BASE), axes)
+    cells = math.prod(spec.shape)
+    pool = draw(float_pools)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    position = np.arange(cells)
+    index = np.unravel_index(position, spec.shape)
+    rows = [_type_rows(spec, group, index) for group in Group]
+    k = [rng.choice(pool, r.max() + 1) for r in rows]
+    is_solved = rng.random(cells) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    solved = position[is_solved]
+    columns = dict(
+        k_A=k[0][rows[0][solved]], k_B=k[1][rows[1][solved]],
+        case=rng.integers(0, len(CASE_LABELS), len(solved)),
+        **{name: rng.choice(pool, len(solved)) for name in ("n_A", "n_B", "Q")},
+    )
+    whole = SweepResult(spec, solved, position[~is_solved], **columns,
+                        k_rows=((0, k[0]), (0, k[1])))
+    edges = sorted(draw(st.sets(st.integers(1, cells), max_size=4)) - {cells})
+    blocks = []
+    for start, end in zip([0] + edges, edges + [cells]):
+        part = (solved >= start) & (solved < end)
+        spans = [(int(r[start:end].min()), int(r[start:end].max()) + 1) for r in rows]
+        blocks.append(SweepResult(
+            spec, solved[part], position[start:end][~is_solved[start:end]],
+            *(column[part] for column in columns.values()),
+            k_rows=tuple((lo, ks[lo:hi]) for ks, (lo, hi) in zip(k, spans)),
+        ))
+    return whole, blocks
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(sweep=written_sweeps())
+def test_writer_matches_csv_writer(sweep, tmp_path_factory):
+    """`write_sweep_csv` writes the bytes csv.writer writes, on any column bits.
+
+    The writer formats each distinct value once and assembles fixed-width
+    records, so its text must not depend on which values share a block,
+    on where the block edges fall, or on the values' bits.
+    """
+    whole, blocks = sweep
+    ours = io.BytesIO()
+    ours.write(SWEEP_CSV_HEADER)
+    held = {}
+    for block in blocks:
+        write_sweep_csv(block, ours, held)
+    theirs = tmp_path_factory.getbasetemp() / "writer-reference.csv"
+    reference_csv(records_of(whole), theirs)
+    assert ours.getvalue() == theirs.read_bytes()
 
 
 def test_batch_matches_reference_on_random_populations():

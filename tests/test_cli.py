@@ -554,6 +554,27 @@ class TestSweepCommand:
             ["c.json"] + ([] if existing is None else ["sweep.csv"])
         )
 
+    def test_stale_temporary_files_left_alone(self, capsys, tmp_path, balanced_config):
+        # Sweeps killed before their move leave temporary files behind; a
+        # later run with the same process id must neither fail on them nor
+        # touch them.
+        out, copy = tmp_path / "sweep.csv", tmp_path / "copy.csv"
+        pid = os.getpid()
+        stale = [tmp_path / f"sweep.csv.{pid}.tmp"]
+        stale += [tmp_path / f"sweep.csv.{pid}.{n}.tmp" for n in range(3)]
+        for path in stale:
+            path.write_bytes(b"a killed sweep\n")
+        assert main(["sweep", "--config", balanced_config, "--out", str(out)]) == 0
+        assert [path.read_bytes() for path in stale] == [b"a killed sweep\n"] * 4
+        for path in stale:
+            path.unlink()
+        assert main(["sweep", "--config", balanced_config, "--out", str(copy)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == copy.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "copy.csv", "sweep.csv"
+        ]
+
     def test_audit_across_block_edges(self, capsys, tmp_path, balanced_params):
         from identity_channel.experiments import (
             _SWEEP_BLOCK,
@@ -617,6 +638,43 @@ class TestSimulateCommand:
             outs.append(out.read_bytes())
         capsys.readouterr()
         assert outs[0] == outs[1]
+
+    def test_unwritable_path_exits_2(self, balanced_config, monkeypatch):
+        from identity_channel import cli
+
+        def no_sampling(strategy, population, N, seed):
+            raise AssertionError("sampled a simulation it cannot write")
+
+        monkeypatch.setattr(cli, "monte_carlo_accuracy", no_sampling)
+        code = main(
+            ["simulate", "--config", balanced_config, "--out", "/nonexistent/dir/s.csv"]
+        )
+        assert code == EXIT_DOMAIN_ERROR
+
+    @pytest.mark.parametrize("existing", [None, b"an earlier simulation\n"])
+    def test_failure_leaves_no_partial_csv(
+        self, capsys, tmp_path, balanced_config, monkeypatch, existing
+    ):
+        from identity_channel import cli
+        from identity_channel.experiments import NonBelievingReceiver
+
+        def not_believed(strategy, population, N, seed):
+            raise NonBelievingReceiver("failed while sampling")
+
+        monkeypatch.setattr(cli, "monte_carlo_accuracy", not_believed)
+        out = tmp_path / "sim.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        code = main(["simulate", "--config", balanced_config, "--out", str(out)])
+        assert code == EXIT_DOMAIN_ERROR
+        assert capsys.readouterr().out == ""
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["config.json"] + ([] if existing is None else ["sim.csv"])
+        )
 
     BAD_BLOCKS = {
         "N-zero": {"N": 0},

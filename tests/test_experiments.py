@@ -1,5 +1,7 @@
 """Tests for sweeps, monotonicity audits and Monte Carlo accuracy."""
 
+import csv
+import io
 import math
 import tracemalloc
 
@@ -431,7 +433,13 @@ class TestMonteCarlo:
 
     def test_simulation_csv(self, tmp_path):
         path = tmp_path / "sim.csv"
-        write_simulation_csv(path, 1000, 3, 0.9939, 0.0025, 0.99390243902)
+        with open(path, "wb") as handle:
+            write_simulation_csv(handle, 1000, 3, 0.9939, 0.0025, 0.99390243902)
         lines = path.read_text().splitlines()
         assert lines[0] == "N,seed,accuracy,std_error,expected"
         assert lines[1].startswith("1000,3,0.9939,")
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["N", "seed", "accuracy", "std_error", "expected"])
+        writer.writerow([1000, 3, "0.9939", "0.0025", "0.99390243902"])
+        assert path.read_bytes() == reference.getvalue().encode()
