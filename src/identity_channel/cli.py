@@ -33,6 +33,7 @@ from .estimator import (
     strategy_from_estimates,
 )
 from .experiments import (
+    MAX_PLAYS,
     NonBelievingReceiver,
     SweepAxis,
     SweepSpec,
@@ -352,6 +353,8 @@ def cmd_simulate(args) -> int:
     if config.simulate is None:
         raise UsageError("config is missing the 'simulate' block")
     N = _config_int("simulate", "N", config.simulate.get("N"), minimum=1)
+    if N > MAX_PLAYS:
+        raise UsageError(f"simulate 'N' must be <= {MAX_PLAYS}, got {N}")
     seed = _config_int(
         "simulate", "seed", config.simulate.get("seed", args.seed), minimum=0
     )

@@ -14,6 +14,7 @@ cross-check, and `full_lp_oracle` is its one-population case.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,7 @@ def type_ratio(group: Group, params) -> tuple[np.ndarray, np.ndarray]:
     """
     params = np.asarray(params, dtype=float)
     la, ls, dI, dO = params
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if group is Group.A:
             k = (ls * dI + la) / (ls * dO - la)
         else:
@@ -105,14 +106,31 @@ def type_ratio(group: Group, params) -> tuple[np.ndarray, np.ndarray]:
 
 
 def augmented_params(population: Population) -> AugmentedParams:
-    """Compute (k_A, k_B); degenerate all-zero receivers raise."""
+    """Compute (k_A, k_B); a type whose k is 0/0 or inf/inf raises.
+
+    k is 0/0 for a receiver with no weights, or with no accuracy weight and
+    zero products of identity weight and penalties; it is inf/inf when
+    those products overflow float64.
+    """
     row = _row(population)
     ks = [type_ratio(group, row[_COLUMNS[group]])[1] for group in Group]
     for group, k in zip(Group, ks):
-        if np.isnan(k):
-            raise IndeterminateParams(
-                f"receiver type {group.value} has zero accuracy and identity weights"
+        if not np.isnan(k):
+            continue
+        la, ls, _, dO = row[_COLUMNS[group]].tolist()
+        if la == 0.0 and ls == 0.0:
+            reason = "has zero accuracy and identity weights"
+        elif math.isinf(ls * dO):
+            reason = (
+                f"overflows float64: identity weight x out-group penalty = "
+                f"{ls!r} x {dO!r}, so k is inf/inf"
             )
+        else:
+            reason = (
+                "has no accuracy weight and zero identity weight x penalty "
+                "products, so k is 0/0"
+            )
+        raise IndeterminateParams(f"receiver type {group.value} {reason}")
     return AugmentedParams(k_A=float(ks[0]), k_B=float(ks[1]))
 
 

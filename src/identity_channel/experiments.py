@@ -16,7 +16,6 @@ import io
 import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +40,14 @@ _AUDIT_TOL = 1e-9
 #: and 0.39 us), so at 8192 cells that fixed cost is about a sixth of a block.
 _SWEEP_BLOCK = 8192
 
-#: Monte Carlo plays sampled per block, each block from its own random
-#: stream: bounds each worker's working arrays whatever N is, and keeps them
-#: small enough to stay in cache.
-_MC_BLOCK = 1 << 16
+#: Raw words drawn and counted at a time by `_fair_splits`: bounds the Monte
+#: Carlo's working arrays whatever N is, to a traced peak of about 1 MiB
+#: (one block of words is still held while the next is drawn).
+_MC_CHUNK = 1 << 16
+
+#: The largest N `monte_carlo_accuracy` takes, the int64 range.  Sampling
+#: 2^63 plays, at about 0.08 raw words a play, would take decades.
+MAX_PLAYS = 2**63 - 1
 
 
 class NonBelievingReceiver(ValueError):
@@ -534,11 +537,54 @@ def _uniform_threshold(p) -> np.ndarray:
     return np.ceil(np.asarray(p, dtype=np.float64) * 2.0**53).astype(np.int64)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _fair_splits(bits: np.random.PCG64, m: list[int]) -> list[int]:
+    """How many of m[i] fair bits are 1, for each i: a Binomial(m[i], 1/2) draw.
+
+    Entry i takes the next ceil(m[i] / 64) raw words of `bits`, the last
+    masked to its low m[i] mod 64 bits, and counts their set bits.  The
+    words are drawn and counted `_MC_CHUNK` at a time, so memory is
+    bounded whatever m is.
+    """
+    ones = []
+    for n in m:
+        count = 0
+        for start in range(0, n, 64 * _MC_CHUNK):
+            size = min(64 * _MC_CHUNK, n - start)
+            words = bits.random_raw(-(-size // 64))
+            if size % 64:
+                words[-1] &= (1 << (size % 64)) - 1
+            count += int(np.bitwise_count(words).sum())
+        ones.append(count)
+    return ones
+
+
+def _count_below(bits: np.random.PCG64, m: list[int], T: list[int]) -> list[int]:
+    """How many of m[i] uniform k in [0, 2^53) fall below T[i], for each i.
+
+    The k are compared with T bit by bit from bit 52 down, as in Knuth
+    and Yao (1976): the plays whose k agrees with T on the bits above i are
+    tied, and one fair split of them gives their bit i.  Where T's bit is 1
+    the zeros fall below and the ones stay tied; where it is 0 the ones lie
+    above and the zeros stay tied.  Once T's bits from i down are all 0,
+    the tied k are at least T and the entry stops.  So T = 0 and T = 2^53
+    (every k is below) draw no bits.  Every entry runs through each bit
+    together.
+    """
+    below = [n if t == 2**53 else 0 for n, t in zip(m, T)]
+    tied = list(m)
+    for i in range(52, -1, -1):
+        tied = [n if t % (2 << i) else 0 for n, t in zip(tied, T)]
+        if not any(tied):
+            break
+        ones = _fair_splits(bits, tied)
+        for c, t in enumerate(T):
+            zeros = tied[c] - ones[c]
+            if t >> i & 1:
+                below[c] += zeros
+                tied[c] = ones[c]
+            else:
+                tied[c] = zeros
+    return below
 
 
 def monte_carlo_accuracy(
@@ -553,30 +599,26 @@ def monte_carlo_accuracy(
     decodes with the type's best response.  For a strategy both types
     believe, the expectation equals quality(strategy) / 4.
 
-    Plays are sampled in blocks of `_MC_BLOCK`.  Block b draws from the b-th
-    child of `np.random.SeedSequence(seed)`, so the result depends only on
-    `(N, seed)`.  Each play is one raw 64-bit output of `np.random.PCG64` on
-    that child; NumPy keeps these raw streams stable across releases
-    (NEP 19), so the result does not depend on the NumPy version either.
-    The word's low 3 bits are the play's cell 4 x + 2 [source is B] +
-    [receiver is B]; its top 53 bits are an integer k, and u = k 2^-53 is
-    the message uniform (the float `Generator.random` makes from the same
-    word).  The message is a when u < p, tested exactly on integers as
-    k < `_uniform_threshold(p)`.  Both types believe, so each best response
-    decodes a as x = 1 and b as x = 0, and a play is decoded correctly when
-    its message is a exactly when x = 1.
+    No play is drawn one by one: the hits are counted exactly from fair
+    bits.  A play's cell is 4 x + 2 [source is B] + [receiver is B], and
+    three rounds of fair splits (`_fair_splits`) divide the N plays over
+    the 8 cells, by x, then source, then receiver.  A play's message is a
+    when its uniform u = k 2^-53, k in [0, 2^53), is below the cell's p,
+    that is when k < T = `_uniform_threshold(p)`; `_count_below` counts
+    these per cell by comparing k with T bit by bit.  Both types believe,
+    so each best response decodes a as x = 1 and b as x = 0: the hits are
+    the plays below T in the x = 1 cells and the plays not below it in the
+    x = 0 cells.
 
-    The blocks are shared among W = min(usable CPUs, blocks) workers: the
-    calling thread is worker 0 and W - 1 daemon threads are the others, so
-    N within one block starts no thread.  Worker t samples blocks t, t + W,
-    t + 2W, ...; NumPy releases the interpreter lock while it draws and
-    compares, so the workers run at once.  Their hit counts are exact
-    integers, so the result does not depend on W or on the CPU count, and
-    memory is bounded by W blocks whatever N is.  An exception in any
-    worker stops the others at their next block and is raised here.
+    All bits come from one `np.random.PCG64(np.random.SeedSequence(seed))`
+    stream, whose raw words NumPy keeps stable across releases (NEP 19),
+    so the result depends only on `(N, seed)`.  It takes at most about
+    0.08 raw words per play (3 fair bits for the cell, under 2 on average
+    for the walk), and memory is bounded by `_MC_CHUNK` words whatever N
+    is.  N is at most `MAX_PLAYS`.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    if not 1 <= N <= MAX_PLAYS:
+        raise ValueError(f"N must be in [1, {MAX_PLAYS}], got {N}")
     bel_A, bel_B = believes(strategy, population)
     if not (bel_A and bel_B):
         raise NonBelievingReceiver(
@@ -586,56 +628,15 @@ def monte_carlo_accuracy(
     cells = [(x, source) for x in (0, 1) for source in Group for _ in Group]
     threshold = _uniform_threshold(
         [strategy.prob_message_a(x, src) for x, src in cells]
-    )
+    ).tolist()
 
-    blocks = -(-N // _MC_BLOCK)
-    workers = min(_usable_cpus(), blocks)
-    # None until a worker has counted all its blocks, so a worker that
-    # stopped early can never pass for one that counted no hits.
-    counts: list[int | None] = [None] * workers
-    errors: list[BaseException] = []
-    stop = threading.Event()
-
-    def work(t: int) -> None:
-        # A block's arrays live until the next block's replace them, so the
-        # allocator reuses their pages rather than handing them back to the
-        # OS and faulting them in again: with all of a block's arrays freed
-        # at once, 1e7 plays took 2.5 times as long, in page faults.
-        hits = 0
-        for b in range(t, blocks, workers):
-            if stop.is_set():
-                return
-            n = min(_MC_BLOCK, N - b * _MC_BLOCK)
-            stream = np.random.SeedSequence(seed, spawn_key=(b,))
-            word = np.random.PCG64(stream).random_raw(n)
-            cell = (word & 7).view(np.int64)
-            word >>= 11  # k in place: one block array fewer
-            message_a = word.view(np.int64) < threshold.take(cell)
-            hits += int(np.count_nonzero(message_a == (cell >= 4)))
-        counts[t] = hits
-
-    def work_in_thread(t: int) -> None:
-        try:
-            work(t)
-        except BaseException as error:  # raised again in the calling thread
-            errors.append(error)
-            stop.set()
-
-    threads = [
-        threading.Thread(target=work_in_thread, args=(t,), daemon=True)
-        for t in range(1, workers)
-    ]
-    try:
-        for thread in threads:
-            thread.start()
-        work(0)
-        for thread in threads:
-            thread.join()
-    finally:
-        stop.set()  # on an exception or interrupt here, the threads stop too
-    if errors:
-        raise errors[0]
-    hits = sum(counts)
+    bits = np.random.PCG64(np.random.SeedSequence(seed))
+    m = [N]
+    for _ in range(3):
+        ones = _fair_splits(bits, m)
+        m = [count for n, k in zip(m, ones) for count in (n - k, k)]
+    below = _count_below(bits, m, threshold)
+    hits = sum(below[4:]) + sum(n - k for n, k in zip(m[:4], below[:4]))
 
     accuracy = hits / N
     std_error = math.sqrt(max(accuracy * (1.0 - accuracy), 0.0) / N)

@@ -140,6 +140,24 @@ class TestEquilibriumCommand:
         path.write_text(json.dumps({"population": params}))
         assert main(["equilibrium", "--config", str(path)]) == EXIT_DOMAIN_ERROR
 
+    def test_overflowing_weights_exit_2_naming_the_overflow(
+        self, capsys, tmp_path, balanced_params
+    ):
+        # ls * dO overflows, so k_A is inf/inf; the weights are not zero.
+        params = dict(
+            balanced_params,
+            lambda_a_A=0.5e300,
+            lambda_s_A=1e300,
+            delta_I_A=1e10,
+            delta_O_A=2e10,
+        )
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"population": params}))
+        assert main(["equilibrium", "--config", str(path)]) == EXIT_DOMAIN_ERROR
+        err = capsys.readouterr().err
+        assert "receiver type A overflows float64" in err
+        assert "zero" not in err
+
     def test_report_roundtrips_through_believes(self, capsys, balanced_config):
         from identity_channel.model import SenderStrategy
         from identity_channel.receiver import believes
@@ -696,6 +714,18 @@ class TestSimulateCommand:
         out = tmp_path / "sim.csv"
         code = main(["simulate", "--config", str(path), "--out", str(out)])
         assert code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("N", [2**63, 10**23])
+    def test_N_beyond_int64_usage_error(self, capsys, tmp_path, balanced_params, N):
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps({"population": balanced_params, "simulate": {"N": N}})
+        )
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert f"must be <= {2**63 - 1}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_flag_usage_error(self, tmp_path, balanced_config):

@@ -121,6 +121,19 @@ class TestAugmentedParams:
         with pytest.raises(IndeterminateParams):
             augmented_params(pop)
 
+    @pytest.mark.parametrize(
+        "row, cause",
+        [
+            ((0.5, 0.45, 1, 3.5, 0.0, 0.0, 1, 2), "type B has zero accuracy and identity"),
+            ((0.0, 1.0, 0, 0, 0.5, 0.45, 1, 3.5), "type A has no accuracy weight"),
+            ((0.5e300, 1e300, 1e10, 2e10, 0.5, 0.45, 1, 3.5), "type A overflows"),
+        ],
+        ids=["no-weights", "no-penalties", "overflow"],
+    )
+    def test_indeterminate_names_its_cause(self, row, cause):
+        with pytest.raises(IndeterminateParams, match=cause):
+            augmented_params(make_population(*row))
+
 
 class TestClosedForm:
     def test_balanced_equilibrium(self, balanced_population):
