@@ -46,7 +46,7 @@ _SWEEP_BLOCK = 8192
 _MC_CHUNK = 1 << 16
 
 #: The largest N `monte_carlo_accuracy` takes, the int64 range.  Sampling
-#: 2^63 plays, at about 0.08 raw words a play, would take decades.
+#: 2^63 plays, at up to about 0.06 raw words a play, would take decades.
 MAX_PLAYS = 2**63 - 1
 
 
@@ -600,22 +600,21 @@ def monte_carlo_accuracy(
     believe, the expectation equals quality(strategy) / 4.
 
     No play is drawn one by one: the hits are counted exactly from fair
-    bits.  A play's cell is 4 x + 2 [source is B] + [receiver is B], and
-    three rounds of fair splits (`_fair_splits`) divide the N plays over
-    the 8 cells, by x, then source, then receiver.  A play's message is a
-    when its uniform u = k 2^-53, k in [0, 2^53), is below the cell's p,
-    that is when k < T = `_uniform_threshold(p)`; `_count_below` counts
-    these per cell by comparing k with T bit by bit.  Both types believe,
-    so each best response decodes a as x = 1 and b as x = 0: the hits are
-    the plays below T in the x = 1 cells and the plays not below it in the
-    x = 0 cells.
+    bits.  A play's message is a when its uniform k 2^-53, k in [0, 2^53),
+    is below the p of its state x and source, that is when k < T =
+    `_uniform_threshold(p)`.  Both types believe and decode a as x = 1, so
+    a play hits when k < T where x = 1, and where x = 0 when k >= T, that
+    is when 2^53 - 1 - k < 2^53 - T.  As 2^53 - 1 - k has k's law, a play
+    hits when k < H, with H = T where x = 1 and 2^53 - T where x = 0, and
+    H ignores the receiver type, which is not drawn.  `_fair_splits` divides
+    the N plays by x, then by source, only between cells whose H differ,
+    and `_count_below` counts each group's plays below its common H.
 
     All bits come from one `np.random.PCG64(np.random.SeedSequence(seed))`
     stream, whose raw words NumPy keeps stable across releases (NEP 19),
     so the result depends only on `(N, seed)`.  It takes at most about
-    0.08 raw words per play (3 fair bits for the cell, under 2 on average
-    for the walk), and memory is bounded by `_MC_CHUNK` words whatever N
-    is.  N is at most `MAX_PLAYS`.
+    0.06 raw words per play (2 fair bits for the splits, under 2 on average
+    for the walk), in memory bounded by `_MC_CHUNK` words; N <= `MAX_PLAYS`.
     """
     if not 1 <= N <= MAX_PLAYS:
         raise ValueError(f"N must be in [1, {MAX_PLAYS}], got {N}")
@@ -625,18 +624,19 @@ def monte_carlo_accuracy(
             "strategy is not believed by both receiver types "
             f"(A={bel_A}, B={bel_B}); the accuracy identity does not apply"
         )
-    cells = [(x, source) for x in (0, 1) for source in Group for _ in Group]
-    threshold = _uniform_threshold(
-        [strategy.prob_message_a(x, src) for x, src in cells]
+    T = _uniform_threshold(
+        [strategy.prob_message_a(x, source) for x in (0, 1) for source in Group]
     ).tolist()
+    H = [2**53 - t for t in T[:2]] + T[2:]  # cell 2 x + [source is B]
 
     bits = np.random.PCG64(np.random.SeedSequence(seed))
-    m = [N]
-    for _ in range(3):
-        ones = _fair_splits(bits, m)
+    m = [N]  # plays per group of cells: all 4, then by x, then one cell each
+    for width in (4, 2):
+        # Cells that share H are not split: the plays stay in the first half.
+        even = [len(set(H[i : i + width])) == 1 for i in range(0, 4, width)]
+        ones = _fair_splits(bits, [0 if e else n for n, e in zip(m, even)])
         m = [count for n, k in zip(m, ones) for count in (n - k, k)]
-    below = _count_below(bits, m, threshold)
-    hits = sum(below[4:]) + sum(n - k for n, k in zip(m[:4], below[:4]))
+    hits = sum(_count_below(bits, m, H))
 
     accuracy = hits / N
     std_error = math.sqrt(max(accuracy * (1.0 - accuracy), 0.0) / N)

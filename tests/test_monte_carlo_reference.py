@@ -3,14 +3,19 @@
 The reference below draws the same raw PCG64 words in the same order as
 the sampler, but gives every play its own bits.  Each fair split of m plays
 takes the next ceil(m / 64) raw words, read from bit 0 up: play j of the
-split (in play order) gets bit j.  Three rounds of splits, over the groups
-in order, give each play its cell bits x, then [source is B], then
-[receiver is B].  Then, from bit 52 down, each play whose message uniform
-k 2^-53 is still undecided gets the next bit of k from a split of its
-cell's undecided plays, cells in order, and its prefix of k is compared
-with T's.  The reference decodes with the best responses and the plain
-per-play formulas, so `(accuracy, std_error)` must be equal, not merely
-close, and the two must leave the stream at the same word.
+split (in play order) gets bit j.  A play's cell is 2 x + [source is B],
+and a play hits when k < H for its cell, H = T where x = 1 and 2^53 - T
+where x = 0, since the x = 0 cells walk 2^53 - 1 - k in place of k.  Every
+play starts in the group of all 4 cells; twice, each group whose cells' H
+differ is split in halves by one fair split, groups in order.  Then, from
+bit 52 down, each play whose k is still tied with its group's H gets the
+next bit from a split of its group's tied plays, groups in order.  A side
+stream, which the sampler does not have, picks each play's cell within
+its group, its receiver type, and the bits of k that the walk left open.
+The reference then compares k with the cell's own T and decodes with the
+best responses and the plain per-play formulas, so `(accuracy, std_error)`
+must be equal, not merely close, and the two must leave the stream at the
+same word.
 """
 
 import math
@@ -57,32 +62,50 @@ def _deal(bits, group):
 def reference_accuracy(strategy, population, N, seed):
     """The sampler's `(accuracy, std_error)`, one play at a time, and its stream."""
     bits = np.random.PCG64(np.random.SeedSequence(seed))
-    cell = np.zeros(N, dtype=np.int64)
-    for _ in range(3):
-        cell = 2 * cell + _deal(bits, cell)
-    x = cell >> 2
-    theta_is_b = (cell >> 1) & 1 == 1
-    receiver_is_b = cell & 1 == 1
-    p_msg_a = np.where(
-        x == 1,
-        np.where(theta_is_b, strategy.m_B, strategy.m_A),
-        np.where(theta_is_b, 1.0 - strategy.n_B, 1.0 - strategy.n_A),
+    side = np.random.default_rng([seed, 1976])
+    # Cell 2 x + [source is B]: the message is a when k < T.
+    T = _uniform_threshold(
+        [1.0 - strategy.n_A, 1.0 - strategy.n_B, strategy.m_A, strategy.m_B]
     )
-    T = _uniform_threshold(p_msg_a)
+    H = np.concatenate([2**53 - T[:2], T[2:]])
 
-    # The message is a when k < T.  Every k < 2^53 and none is below 0;
-    # otherwise k is undecided while its bits above the next agree with T's.
-    msg_is_a = T == 2**53
-    live = (T > 0) & (T < 2**53)
+    # Each play's group is the cells lo .. lo + width - 1.
+    lo = np.zeros(N, dtype=np.int64)
+    width = np.full(N, 4)
+    for _ in range(2):
+        split = np.zeros(N, dtype=bool)
+        for g in np.unique(lo):
+            in_g = lo == g
+            w = width[in_g][0]
+            split |= in_g & (H[g : g + w].min() != H[g : g + w].max())
+        bit = _deal(bits, np.where(split, lo, -1))
+        width = np.where(split, width // 2, width)
+        lo = lo + bit * width
+    cell = lo + side.integers(0, width)
+    x = cell >> 1
+    theta_is_b = cell & 1 == 1
+    receiver_is_b = side.integers(0, 2, size=N) == 1
+
+    # The walked uniform is k where x = 1 and 2^53 - 1 - k where x = 0.
+    # Every value is below 2^53 and none below 0; otherwise it is tied
+    # while its bits above the next agree with H's.
+    h = H[lo]
+    live = (h > 0) & (h < 2**53)
     prefix = np.zeros(N, dtype=np.int64)
+    known = np.zeros(N, dtype=np.int64)
     for i in range(52, -1, -1):
-        # A tie on every bit of T that is set: k >= T.
-        live &= T % (2 << i) != 0
+        # A tie on every bit of H that is set: the value is at least H.
+        live &= h % (2 << i) != 0
         if not live.any():
             break
-        prefix = 2 * prefix + _deal(bits, np.where(live, cell, -1))
-        msg_is_a |= live & (prefix < T >> i)
-        live &= prefix == T >> i
+        bit = _deal(bits, np.where(live, lo, -1))
+        prefix = np.where(live, 2 * prefix + bit, prefix)
+        known += live
+        live &= prefix == h >> i
+    free = 53 - known
+    walked = (prefix << free) | (side.integers(0, 2**53, size=N) & ((1 << free) - 1))
+    k = np.where(x == 1, walked, 2**53 - 1 - walked)
+    msg_is_a = k < T[cell]
 
     # Best responses are pure: believe a message (decode a as 1, b as 0)
     # with probability p or q in {0, 1}.
@@ -147,6 +170,13 @@ def _half_lies():
     return SenderStrategy(1, 1, 0.5, 0.6), Population(profile, profile)
 
 
+def _uneven_truths():
+    # Accuracy-only receivers believe; m_A != m_B, so the x = 1 plays are
+    # split by source too, and every H has many bits set.
+    profile = IdentityProfile(1.0, 0.0, 1.0, 2.0)
+    return SenderStrategy(0.9, 0.7, 0.3, 0.6), Population(profile, profile)
+
+
 @pytest.fixture
 def recorded_streams(monkeypatch):
     """Every PCG64 made from now on, in a list that grows as they are made."""
@@ -170,7 +200,8 @@ SIZES = {
 
 
 @pytest.mark.parametrize(
-    "case", [_balanced, _middle_band, _silent, _noiseless, _two_lies, _half_lies]
+    "case",
+    [_balanced, _middle_band, _silent, _noiseless, _two_lies, _half_lies, _uneven_truths],
 )
 @pytest.mark.parametrize("N", SIZES.values(), ids=SIZES.keys())
 def test_blocked_sampler_matches_reference(case, N, recorded_streams):
@@ -192,8 +223,8 @@ def test_balanced_golden_value():
     """
     strategy, population = _balanced()
     assert monte_carlo_accuracy(strategy, population, 5 * B // 2, 0) == (
-        0.99384765625,
-        0.00019318359144174298,
+        0.993768310546875,
+        0.00019441756686496608,
     )
 
 
@@ -288,20 +319,24 @@ def test_fair_splits_are_binomial_half(n):
     assert _binomial_p_value(draws, n, 0.5) > 1e-3
 
 
+def _hit_probability(strategy):
+    """a: the mean over the (x, source) cells of T 2^-53 where x = 1 and
+    1 - T 2^-53 where x = 0, the chance that a play is decoded correctly."""
+    cells = [(x, source) for x in (0, 1) for source in Group]
+    T = _uniform_threshold([strategy.prob_message_a(x, s) for x, s in cells])
+    return float(np.where(np.arange(4) >= 2, T * 2.0**-53, 1.0 - T * 2.0**-53).mean())
+
+
 def test_accuracy_mean_and_variance_over_seeds():
     """Over 4000 seeds at N = 1000, accuracy has Binomial(N, a) / N moments.
 
-    Plays are independent, each decoded correctly with probability a, the
-    mean over cells of T 2^-53 where x = 1 and 1 - T 2^-53 where x = 0; n_B
+    Plays are independent, each decoded correctly with probability a; n_B
     is fractional here, so T has many bits set.  With 4000 seeds the mean's
     z-score is held within 4 and the variance ratio within 0.1 (about 4.5
     of its standard errors).
     """
     strategy, population = _middle_band()
-    cells = [(x, source) for x in (0, 1) for source in Group for _ in Group]
-    T = _uniform_threshold([strategy.prob_message_a(x, s) for x, s in cells])
-    hit = np.where(np.arange(8) >= 4, T * 2.0**-53, 1.0 - T * 2.0**-53)
-    a = float(hit.mean())
+    a = _hit_probability(strategy)
     assert 0.6 < a < 0.99
     N, seeds = 1000, 4000
     accuracy = np.array(
@@ -310,6 +345,24 @@ def test_accuracy_mean_and_variance_over_seeds():
     variance = a * (1.0 - a) / N
     assert abs(accuracy.mean() - a) <= 4.0 * math.sqrt(variance / seeds)
     assert abs(accuracy.var(ddof=1) / variance - 1.0) <= 0.1
+
+
+@pytest.mark.parametrize("N", [7, 70])
+@pytest.mark.parametrize("case", [_two_lies, _half_lies, _middle_band, _uneven_truths])
+def test_hits_are_binomial_over_seeds(case, N):
+    """Over 4000 seeds, the whole sampler's hits have the Binomial(N, a) pmf.
+
+    This is the law of the splits, the H of the x = 0 cells and the walk
+    together: a group merged across cells whose H differ, or an x = 0 cell
+    counted below T in place of 2^53 - T, moves the pmf.  `_uneven_truths`
+    splits both sides by source; N = 70 spans two words per split.
+    """
+    strategy, population = case()
+    hits = [
+        round(monte_carlo_accuracy(strategy, population, N, seed)[0] * N)
+        for seed in range(4000)
+    ]
+    assert _binomial_p_value(np.array(hits), N, _hit_probability(strategy)) > 1e-3
 
 
 def _words_drawn(bits, seed):
@@ -344,17 +397,18 @@ def test_count_below_draws_only_what_T_needs():
     assert bits.state == twin.state
 
 
-@pytest.mark.parametrize("case", [_silent, _noiseless])
-def test_decided_cells_draw_only_the_cell_split(case, recorded_streams):
-    # Every cell's T is 0 or 2^53: only the three rounds of cell splits draw.
+@pytest.mark.parametrize(
+    "case, words", [(_silent, 16), (_noiseless, 0)], ids=["_silent", "_noiseless"]
+)
+def test_decided_cells_draw_only_the_cell_split(case, words, recorded_streams):
+    # Every cell's H is 0 or 2^53, so the walk draws nothing.  All four H
+    # are 2^53 when noiseless, so nothing is split either; when silent the
+    # x = 0 cells' H are 0 and the x = 1 cells' 2^53, so the 1000 plays
+    # are split once, by x, in ceil(1000 / 64) words.
     strategy, population = case()
     monte_carlo_accuracy(strategy, population, 1000, 3)
     (bits,) = recorded_streams
-    twin = np.random.PCG64(np.random.SeedSequence(3))
-    m = [1000]
-    for _ in range(3):
-        m = [count for n, k in zip(m, _fair_splits(twin, m)) for count in (n - k, k)]
-    assert bits.state == twin.state
+    assert _words_drawn(bits, 3) == words
 
 
 def _peak_traced_bytes(strategy, population, N):
