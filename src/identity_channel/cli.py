@@ -195,12 +195,15 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.config is not None:
+        if args.trials is not None or args.seed is not None:
+            raise UsageError("--trials and --seed do not apply with --config")
         population = load_config(args.config).population
         report = compare_batch([list(population_params(population).values())])
     else:
-        if args.trials < 1:
-            raise UsageError(f"--trials must be >= 1, got {args.trials}")
-        report = check_equivalence(args.trials, args.seed)
+        trials = 100 if args.trials is None else args.trials
+        if trials < 1:
+            raise UsageError(f"--trials must be >= 1, got {trials}")
+        report = check_equivalence(trials, args.seed or 0)
     _print_report(
         {
             "trials": len(report.params),
@@ -355,8 +358,10 @@ def cmd_simulate(args) -> int:
     N = _config_int("simulate", "N", config.simulate.get("N"), minimum=1)
     if N > MAX_PLAYS:
         raise UsageError(f"simulate 'N' must be <= {MAX_PLAYS}, got {N}")
+    if args.seed is not None and "seed" in config.simulate:
+        raise UsageError("the seed is given twice: by --seed and by simulate 'seed'")
     seed = _config_int(
-        "simulate", "seed", config.simulate.get("seed", args.seed), minimum=0
+        "simulate", "seed", config.simulate.get("seed", args.seed or 0), minimum=0
     )
     result = closed_form_equilibrium(config.population)
     expected = result.quality / 4.0
@@ -405,8 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="closed form vs LP oracle on random or configured populations"
     )
     p_ver.add_argument("--config", default=None)
-    p_ver.add_argument("--trials", type=int, default=100)
-    p_ver.add_argument("--seed", type=_seed, default=0)
+    # None marks a flag not given, which --config must not have: the
+    # defaults, 100 trials and seed 0, are applied in cmd_verify.
+    p_ver.add_argument("--trials", type=int, default=None)
+    p_ver.add_argument("--seed", type=_seed, default=None)
     p_ver.set_defaults(func=cmd_verify)
 
     p_est = sub.add_parser("estimate", help="bisection estimation against the config")
@@ -422,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo accuracy to CSV")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--seed", type=_seed, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=None)
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

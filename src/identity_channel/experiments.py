@@ -40,13 +40,13 @@ _AUDIT_TOL = 1e-9
 #: and 0.39 us), so at 8192 cells that fixed cost is about a sixth of a block.
 _SWEEP_BLOCK = 8192
 
-#: Raw words drawn and counted at a time by `_fair_splits`: bounds the Monte
+#: Raw words drawn and counted at a time by `_fair_split`: bounds the Monte
 #: Carlo's working arrays whatever N is, to a traced peak of about 1 MiB
 #: (one block of words is still held while the next is drawn).
 _MC_CHUNK = 1 << 16
 
 #: The largest N `monte_carlo_accuracy` takes, the int64 range.  Sampling
-#: 2^63 plays, at up to about 0.06 raw words a play, would take decades.
+#: 2^63 plays, at about 0.03 raw words a play, would take decades.
 MAX_PLAYS = 2**63 - 1
 
 
@@ -537,53 +537,47 @@ def _uniform_threshold(p) -> np.ndarray:
     return np.ceil(np.asarray(p, dtype=np.float64) * 2.0**53).astype(np.int64)
 
 
-def _fair_splits(bits: np.random.PCG64, m: list[int]) -> list[int]:
-    """How many of m[i] fair bits are 1, for each i: a Binomial(m[i], 1/2) draw.
+def _fair_split(bits: np.random.PCG64, n: int) -> int:
+    """How many of n fair bits are 1: a Binomial(n, 1/2) draw.
 
-    Entry i takes the next ceil(m[i] / 64) raw words of `bits`, the last
-    masked to its low m[i] mod 64 bits, and counts their set bits.  The
-    words are drawn and counted `_MC_CHUNK` at a time, so memory is
-    bounded whatever m is.
+    It takes the next ceil(n / 64) raw words of `bits`, the last masked to
+    its low n mod 64 bits, and counts their set bits.  The words are drawn
+    and counted `_MC_CHUNK` at a time, so memory is bounded whatever n is;
+    one word is counted as a Python int, several times faster than an array.
     """
-    ones = []
-    for n in m:
-        count = 0
-        for start in range(0, n, 64 * _MC_CHUNK):
-            size = min(64 * _MC_CHUNK, n - start)
-            words = bits.random_raw(-(-size // 64))
-            if size % 64:
-                words[-1] &= (1 << (size % 64)) - 1
-            count += int(np.bitwise_count(words).sum())
-        ones.append(count)
+    if 0 < n <= 64:
+        return (bits.random_raw() & ((1 << n) - 1)).bit_count()
+    ones = 0
+    for start in range(0, n, 64 * _MC_CHUNK):
+        size = min(64 * _MC_CHUNK, n - start)
+        words = bits.random_raw(-(-size // 64))
+        if size % 64:
+            words[-1] &= (1 << (size % 64)) - 1
+        ones += int(np.bitwise_count(words).sum())
     return ones
 
 
-def _count_below(bits: np.random.PCG64, m: list[int], T: list[int]) -> list[int]:
-    """How many of m[i] uniform k in [0, 2^53) fall below T[i], for each i.
+def _count_below(bits: np.random.PCG64, n: int, H: int) -> int:
+    """How many of n uniform u in [0, 2^55) fall below H, for H in [0, 2^55].
 
-    The k are compared with T bit by bit from bit 52 down, as in Knuth
-    and Yao (1976): the plays whose k agrees with T on the bits above i are
-    tied, and one fair split of them gives their bit i.  Where T's bit is 1
-    the zeros fall below and the ones stay tied; where it is 0 the ones lie
-    above and the zeros stay tied.  Once T's bits from i down are all 0,
-    the tied k are at least T and the entry stops.  So T = 0 and T = 2^53
-    (every k is below) draw no bits.  Every entry runs through each bit
-    together.
+    The u are compared with H bit by bit from bit 54 down, as in Knuth and
+    Yao (1976): the u that agree with H on the bits above i are tied, and
+    one fair split of them gives their bit i.  Where H's bit is 1 the zeros
+    fall below and the ones stay tied; where it is 0 the ones lie above and
+    the zeros stay tied.  Once H's bits from i down are all 0, the tied u
+    are at least H and the walk stops.  So H = 0 and H = 2^55 (every u is
+    below) draw no bits.
     """
-    below = [n if t == 2**53 else 0 for n, t in zip(m, T)]
-    tied = list(m)
-    for i in range(52, -1, -1):
-        tied = [n if t % (2 << i) else 0 for n, t in zip(tied, T)]
-        if not any(tied):
+    below = n if H == 2**55 else 0
+    for i in range(54, -1, -1):
+        if not n or H % (2 << i) == 0:
             break
-        ones = _fair_splits(bits, tied)
-        for c, t in enumerate(T):
-            zeros = tied[c] - ones[c]
-            if t >> i & 1:
-                below[c] += zeros
-                tied[c] = ones[c]
-            else:
-                tied[c] = zeros
+        ones = _fair_split(bits, n)
+        if H >> i & 1:
+            below += n - ones
+            n = ones
+        else:
+            n -= ones
     return below
 
 
@@ -606,15 +600,16 @@ def monte_carlo_accuracy(
     a play hits when k < T where x = 1, and where x = 0 when k >= T, that
     is when 2^53 - 1 - k < 2^53 - T.  As 2^53 - 1 - k has k's law, a play
     hits when k < H, with H = T where x = 1 and 2^53 - T where x = 0, and
-    H ignores the receiver type, which is not drawn.  `_fair_splits` divides
-    the N plays by x, then by source, only between cells whose H differ,
-    and `_count_below` counts each group's plays below its common H.
+    H ignores the receiver type.  The (x, source) cell is uniform, so of
+    the 2^55 equally likely (cell, k) pairs, the sum of the four H hit:
+    a play hits exactly when a uniform u in [0, 2^55) is below that sum,
+    and `_count_below` counts the N plays' hits in one walk.
 
     All bits come from one `np.random.PCG64(np.random.SeedSequence(seed))`
     stream, whose raw words NumPy keeps stable across releases (NEP 19),
-    so the result depends only on `(N, seed)`.  It takes at most about
-    0.06 raw words per play (2 fair bits for the splits, under 2 on average
-    for the walk), in memory bounded by `_MC_CHUNK` words; N <= `MAX_PLAYS`.
+    so the result depends only on `(N, seed)`.  The walk takes at most 2
+    fair bits per play on average, about 0.03 raw words, in memory bounded
+    by `_MC_CHUNK` words; N <= `MAX_PLAYS`.
     """
     if not 1 <= N <= MAX_PLAYS:
         raise ValueError(f"N must be in [1, {MAX_PLAYS}], got {N}")
@@ -627,16 +622,8 @@ def monte_carlo_accuracy(
     T = _uniform_threshold(
         [strategy.prob_message_a(x, source) for x in (0, 1) for source in Group]
     ).tolist()
-    H = [2**53 - t for t in T[:2]] + T[2:]  # cell 2 x + [source is B]
-
-    bits = np.random.PCG64(np.random.SeedSequence(seed))
-    m = [N]  # plays per group of cells: all 4, then by x, then one cell each
-    for width in (4, 2):
-        # Cells that share H are not split: the plays stay in the first half.
-        even = [len(set(H[i : i + width])) == 1 for i in range(0, 4, width)]
-        ones = _fair_splits(bits, [0 if e else n for n, e in zip(m, even)])
-        m = [count for n, k in zip(m, ones) for count in (n - k, k)]
-    hits = sum(_count_below(bits, m, H))
+    H = 2**54 - T[0] - T[1] + T[2] + T[3]  # the four cells' H summed
+    hits = _count_below(np.random.PCG64(np.random.SeedSequence(seed)), N, H)
 
     accuracy = hits / N
     std_error = math.sqrt(max(accuracy * (1.0 - accuracy), 0.0) / N)

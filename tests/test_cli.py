@@ -190,6 +190,28 @@ class TestVerifyCommand:
     def test_bad_seed_usage_error(self, seed):
         assert main(["verify", "--trials", "1", "--seed", seed]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags", [["--trials", "7"], ["--seed", "3"], ["--trials", "7", "--seed", "3"]]
+    )
+    def test_flags_ignored_by_config_usage_error(
+        self, capsys, balanced_config, monkeypatch, flags
+    ):
+        from identity_channel import cli
+
+        def no_comparison(params):
+            raise AssertionError("compared a population despite the flags")
+
+        monkeypatch.setattr(cli, "compare_batch", no_comparison)
+        assert main(["verify", "--config", balanced_config] + flags) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "do not apply with --config" in captured.err
+
+    def test_default_trials_and_seed(self, capsys):
+        assert run_json(capsys, ["verify"]) == run_json(
+            capsys, ["verify", "--trials", "100", "--seed", "0"]
+        )
+
     def test_lp_oracle_without_encoding_exits_2(self, capsys, tmp_path):
         # Restricted, and the closed form solves it (Q = 2, case k_B>k_A>0),
         # but at these scales the LP oracle's absolute 1e-9 tolerance finds
@@ -732,6 +754,32 @@ class TestSimulateCommand:
         out = tmp_path / "sim.csv"
         argv = ["simulate", "--config", balanced_config, "--out", str(out)]
         assert main(argv + ["--seed", "-1"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["5", "3"])
+    def test_seed_flag_and_config_seed_usage_error(
+        self, capsys, tmp_path, balanced_config, flag
+    ):
+        # The config gives seed 3; --seed is refused even when it agrees.
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--config", balanced_config, "--out", str(out)]
+        assert main(argv + ["--seed", flag]) == EXIT_USAGE
+        assert "seed is given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, seed", [([], 0), (["--seed", "5"], 5)])
+    def test_seed_flag_without_config_seed(
+        self, capsys, tmp_path, balanced_params, flags, seed
+    ):
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps({"population": balanced_params, "simulate": {"N": 100}})
+        )
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--config", str(path), "--out", str(out)] + flags
+        code, report = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert report["seed"] == seed
+        assert out.read_text().splitlines()[1].split(",")[1] == str(seed)
 
 
 class TestUsage:

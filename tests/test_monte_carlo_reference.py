@@ -1,21 +1,21 @@
 """The counting Monte Carlo sampler against a per-play reference.
 
 The reference below draws the same raw PCG64 words in the same order as
-the sampler, but gives every play its own bits.  Each fair split of m plays
-takes the next ceil(m / 64) raw words, read from bit 0 up: play j of the
-split (in play order) gets bit j.  A play's cell is 2 x + [source is B],
-and a play hits when k < H for its cell, H = T where x = 1 and 2^53 - T
-where x = 0, since the x = 0 cells walk 2^53 - 1 - k in place of k.  Every
-play starts in the group of all 4 cells; twice, each group whose cells' H
-differ is split in halves by one fair split, groups in order.  Then, from
-bit 52 down, each play whose k is still tied with its group's H gets the
-next bit from a split of its group's tied plays, groups in order.  A side
-stream, which the sampler does not have, picks each play's cell within
-its group, its receiver type, and the bits of k that the walk left open.
-The reference then compares k with the cell's own T and decodes with the
-best responses and the plain per-play formulas, so `(accuracy, std_error)`
-must be equal, not merely close, and the two must leave the stream at the
-same word.
+the sampler, but gives every play its own bits.  A play's cell is
+2 x + [source is B], and it hits when k < H for its cell, H = T where
+x = 1 and 2^53 - T where x = 0, since the x = 0 cells walk 2^53 - 1 - k
+in place of k.  So every play draws one u in [0, 2^55), which the
+sampler walks against the sum of the four H from bit 54 down: each play
+whose u is still tied with the sum gets the next bit from a fair split of
+the tied plays, which takes the next ceil(m / 64) raw words for m tied
+plays, read from bit 0 up, play j of the split (in play order) getting
+bit j.  A side stream, which the sampler does not have, fills the bits of
+u that the walk left open and picks each play's receiver type.  u maps one
+to one onto (cell, walked k): below the sum lie the hits, cell by cell,
+with k < H; the misses follow, cell by cell, with k >= H.  The reference
+then compares k with the cell's own T and decodes with the best responses
+and the plain per-play formulas, so `(accuracy, std_error)` must be equal,
+not merely close, and the two must leave the stream at the same word.
 """
 
 import math
@@ -30,7 +30,7 @@ from identity_channel.equilibrium import closed_form_equilibrium
 from identity_channel.experiments import (
     MAX_PLAYS,
     _count_below,
-    _fair_splits,
+    _fair_split,
     _uniform_threshold,
     monte_carlo_accuracy,
 )
@@ -50,15 +50,6 @@ def _next_bits(bits, n):
     return np.unpackbits(words.view(np.uint8), bitorder="little")[:n]
 
 
-def _deal(bits, group):
-    """A fair bit for each play of group >= 0, dealt group by group in play order."""
-    bit = np.zeros(len(group), dtype=np.int64)
-    for g in np.unique(group[group >= 0]):
-        plays = np.flatnonzero(group == g)
-        bit[plays] = _next_bits(bits, len(plays))
-    return bit
-
-
 def reference_accuracy(strategy, population, N, seed):
     """The sampler's `(accuracy, std_error)`, one play at a time, and its stream."""
     bits = np.random.PCG64(np.random.SeedSequence(seed))
@@ -68,42 +59,37 @@ def reference_accuracy(strategy, population, N, seed):
         [1.0 - strategy.n_A, 1.0 - strategy.n_B, strategy.m_A, strategy.m_B]
     )
     H = np.concatenate([2**53 - T[:2], T[2:]])
+    total = int(H.sum())
 
-    # Each play's group is the cells lo .. lo + width - 1.
-    lo = np.zeros(N, dtype=np.int64)
-    width = np.full(N, 4)
-    for _ in range(2):
-        split = np.zeros(N, dtype=bool)
-        for g in np.unique(lo):
-            in_g = lo == g
-            w = width[in_g][0]
-            split |= in_g & (H[g : g + w].min() != H[g : g + w].max())
-        bit = _deal(bits, np.where(split, lo, -1))
-        width = np.where(split, width // 2, width)
-        lo = lo + bit * width
-    cell = lo + side.integers(0, width)
-    x = cell >> 1
-    theta_is_b = cell & 1 == 1
-    receiver_is_b = side.integers(0, 2, size=N) == 1
-
-    # The walked uniform is k where x = 1 and 2^53 - 1 - k where x = 0.
-    # Every value is below 2^53 and none below 0; otherwise it is tied
-    # while its bits above the next agree with H's.
-    h = H[lo]
-    live = (h > 0) & (h < 2**53)
+    # Each play's u is tied while its bits so far agree with total's.
+    # Every u is below 2^55 and none below 0.
+    live = np.full(N, 0 < total < 2**55)
     prefix = np.zeros(N, dtype=np.int64)
     known = np.zeros(N, dtype=np.int64)
-    for i in range(52, -1, -1):
-        # A tie on every bit of H that is set: the value is at least H.
-        live &= h % (2 << i) != 0
+    for i in range(54, -1, -1):
+        # A tie on every bit of total that is set: u is at least total.
+        live &= total % (2 << i) != 0
         if not live.any():
             break
-        bit = _deal(bits, np.where(live, lo, -1))
+        bit = np.zeros(N, dtype=np.int64)
+        bit[live] = _next_bits(bits, int(live.sum()))
         prefix = np.where(live, 2 * prefix + bit, prefix)
         known += live
-        live &= prefix == h >> i
-    free = 53 - known
-    walked = (prefix << free) | (side.integers(0, 2**53, size=N) & ((1 << free) - 1))
+        live &= prefix == total >> i
+    free = 55 - known
+    u = (prefix << free) | (side.integers(0, 2**55, size=N) & ((1 << free) - 1))
+    receiver_is_b = side.integers(0, 2, size=N) == 1
+
+    # u < total takes the hits of cells 0 to 3 in turn, each H wide; the
+    # misses of cells 0 to 3 follow, each 2^53 - H wide, from k = H up.
+    miss = u >= total
+    width = np.where(miss[:, None], 2**53 - H, H)
+    end = np.cumsum(width, axis=1)
+    v = u - np.where(miss, total, 0)
+    cell = (v[:, None] >= end).sum(axis=1)
+    walked = v - (end - width)[np.arange(N), cell] + np.where(miss, H[cell], 0)
+    x = cell >> 1
+    # The walked k is k where x = 1 and 2^53 - 1 - k where x = 0.
     k = np.where(x == 1, walked, 2**53 - 1 - walked)
     msg_is_a = k < T[cell]
 
@@ -157,22 +143,23 @@ def _noiseless():
 
 
 def _two_lies():
-    # Accuracy-only receivers believe; all four x = 0 cells are undecided
-    # for a few bits, so a cell with no tied plays can sit between two
-    # with some.
+    # Accuracy-only receivers believe; both x = 0 cells lie now and then,
+    # so the sum of H has set and clear bits all the way down to bit 0.
     profile = IdentityProfile(1.0, 0.0, 1.0, 2.0)
     return SenderStrategy(1, 1, 0.3, 0.6), Population(profile, profile)
 
 
 def _half_lies():
-    # The source A cells' T = 2^52 has one bit set: one split decides them.
+    # The x = 0 source A cell's T = 2^52 has one bit set; the other cell's
+    # T still gives the sum of H many bits.
     profile = IdentityProfile(1.0, 0.0, 1.0, 2.0)
     return SenderStrategy(1, 1, 0.5, 0.6), Population(profile, profile)
 
 
 def _uneven_truths():
-    # Accuracy-only receivers believe; m_A != m_B, so the x = 1 plays are
-    # split by source too, and every H has many bits set.
+    # Accuracy-only receivers believe; every T has many bits set, but they
+    # cancel in the sum of H = 5 2^52, so the walk stops after bit 52 with
+    # plays still tied.
     profile = IdentityProfile(1.0, 0.0, 1.0, 2.0)
     return SenderStrategy(0.9, 0.7, 0.3, 0.6), Population(profile, profile)
 
@@ -223,8 +210,8 @@ def test_balanced_golden_value():
     """
     strategy, population = _balanced()
     assert monte_carlo_accuracy(strategy, population, 5 * B // 2, 0) == (
-        0.993768310546875,
-        0.00019441756686496608,
+        0.993719482421875,
+        0.00019517296073302002,
     )
 
 
@@ -277,7 +264,8 @@ def test_uniform_threshold_is_exact(p):
 def _binomial_p_value(draws, n, p):
     """Chi-squared p-value of `draws` against Binomial(n, p).
 
-    Bins expected to hold fewer than 5 draws are pooled into the tails.
+    Bins expected to hold fewer than 5 draws are pooled into the tails, or
+    into one bin where only one bin is expected to hold 5.
     """
     stats = pytest.importorskip("scipy.stats")
     pmf = np.array([math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)])
@@ -286,8 +274,13 @@ def _binomial_p_value(draws, n, p):
     big = np.flatnonzero(expected >= 5.0)
     lo, hi = big[0], big[-1]
 
-    def pool(a):
-        return np.concatenate(([a[: lo + 1].sum()], a[lo + 1 : hi], [a[hi:].sum()]))
+    if lo == hi:
+        # One bin holds nearly every draw: test it against all the others.
+        def pool(a):
+            return np.array([a[lo], np.delete(a, lo).sum()])
+    else:
+        def pool(a):
+            return np.concatenate(([a[: lo + 1].sum()], a[lo + 1 : hi], [a[hi:].sum()]))
 
     observed, expected = pool(observed), pool(expected)
     chi2 = float(((observed - expected) ** 2 / expected).sum())
@@ -297,25 +290,54 @@ def _binomial_p_value(draws, n, p):
 @pytest.mark.parametrize("n", [7, 70])
 @pytest.mark.parametrize("p", [0.3, 1.0 / 3.0, 0.5, 0.9])
 def test_count_below_is_binomial(n, p):
-    """The per-cell count has the Binomial(n, T 2^-53) pmf.
+    """The count has the Binomial(n, H 2^-55) pmf, over 40000 calls.
 
-    Each call counts 8 independent cells, so 5000 calls give 40000 draws.
+    H = ceil(p 2^55) has set bits all the way down for p = 0.3 and 1/3.
     n = 70 spans two words per split.
     """
-    T = _uniform_threshold([p] * 8).tolist()
+    H = int(np.ceil(p * 2.0**55))
     bits = np.random.PCG64(np.random.SeedSequence(1976))
-    draws = np.concatenate(
-        [_count_below(bits, [n] * 8, T) for _ in range(5000)]
-    )
-    assert _binomial_p_value(draws, n, T[0] * 2.0**-53) > 1e-3
+    draws = np.array([_count_below(bits, n, H) for _ in range(40000)])
+    assert _binomial_p_value(draws, n, H * 2.0**-55) > 1e-3
+
+
+@pytest.mark.parametrize("n", [7, 70])
+@pytest.mark.parametrize("H", [1, 2**55 - 1], ids=["1", "2^55-1"])
+def test_count_below_is_binomial_at_the_extremes(n, H):
+    """At H = 1 and 2^55 - 1, one bit of the walk's last split decides.
+
+    2^55 - 1 has all 55 bits set, so ties run from bit 54 to bit 0.  Its
+    misses, n - count, are tested as Binomial(n, (2^55 - H) 2^-55), the
+    same law, as 1 - 2^-55 is not a float.
+    """
+    bits = np.random.PCG64(np.random.SeedSequence(1976))
+    draws = np.array([_count_below(bits, n, H) for _ in range(40000)])
+    if H > 2**54:
+        draws, H = n - draws, 2**55 - H
+    assert _binomial_p_value(draws, n, H * 2.0**-55) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "H, tied, below", [(1, 0, 7), (2**55 - 1, 7, 0)], ids=["1", "2^55-1"]
+)
+def test_count_below_walks_to_bit_0(monkeypatch, H, tied, below):
+    # A split that keeps every tied play tied for H's next bit: the walk
+    # makes one split per bit, 54 to 0, and only bit 0 decides the count.
+    splits = []
+
+    def split(bits, n):
+        splits.append(n)
+        return tied
+
+    monkeypatch.setattr(experiments, "_fair_split", split)
+    assert _count_below(None, 7, H) == below
+    assert splits == [7] * 55
 
 
 @pytest.mark.parametrize("n", [3, 65])
 def test_fair_splits_are_binomial_half(n):
     bits = np.random.PCG64(np.random.SeedSequence(1976))
-    draws = np.concatenate(
-        [_fair_splits(bits, [n] * 8) for _ in range(2000)]
-    )
+    draws = np.array([_fair_split(bits, n) for _ in range(16000)])
     assert _binomial_p_value(draws, n, 0.5) > 1e-3
 
 
@@ -352,10 +374,9 @@ def test_accuracy_mean_and_variance_over_seeds():
 def test_hits_are_binomial_over_seeds(case, N):
     """Over 4000 seeds, the whole sampler's hits have the Binomial(N, a) pmf.
 
-    This is the law of the splits, the H of the x = 0 cells and the walk
-    together: a group merged across cells whose H differ, or an x = 0 cell
-    counted below T in place of 2^53 - T, moves the pmf.  `_uneven_truths`
-    splits both sides by source; N = 70 spans two words per split.
+    This is the law of the summed H and the walk together: an x = 0 cell
+    counted below T in place of 2^53 - T, or a walk that skips a bit of the
+    sum, moves the pmf.  N = 70 spans two words per split.
     """
     strategy, population = case()
     hits = [
@@ -377,22 +398,23 @@ def _words_drawn(bits, seed):
 
 def test_count_below_draws_only_what_T_needs():
     m = [100, 0, 64, 65, 1, 200, 7, 129]
-    # T = 0 and T = 2^53 decide every play without a word.
+    # H = 0 and H = 2^55 decide every play without a word.
     bits = np.random.PCG64(np.random.SeedSequence(5))
-    assert _count_below(bits, m, [0, 2**53] * 4) == [0, 0, 0, 65, 0, 200, 0, 129]
+    assert [_count_below(bits, n, 0) for n in m] == [0] * 8
+    assert [_count_below(bits, n, 2**55) for n in m] == m
     assert _words_drawn(bits, 5) == 0
-    # T = 2^52 has bit 52 set and no other: one split, whose zeros are below.
+    # H = 2^54 has bit 54 set and no other: one split, whose zeros are below.
     bits = np.random.PCG64(np.random.SeedSequence(5))
-    below = _count_below(bits, m, [2**52] * 8)
+    below = [_count_below(bits, n, 2**54) for n in m]
     twin = np.random.PCG64(np.random.SeedSequence(5))
-    assert below == [n - k for n, k in zip(m, _fair_splits(twin, m))]
+    assert below == [n - _fair_split(twin, n) for n in m]
     assert bits.state == twin.state
     assert _words_drawn(bits, 5) == sum(-(-n // 64) for n in m)
-    # T = 2^52 + 2^51: the ones of bit 52 stay tied for one more split only.
+    # H = 2^54 + 2^53: the ones of bit 54 stay tied for one more split only.
     bits = np.random.PCG64(np.random.SeedSequence(5))
-    below = _count_below(bits, m, [3 * 2**51] * 8)
+    below = [_count_below(bits, n, 3 * 2**53) for n in m]
     twin = np.random.PCG64(np.random.SeedSequence(5))
-    ones = _fair_splits(twin, _fair_splits(twin, m))
+    ones = [_fair_split(twin, _fair_split(twin, n)) for n in m]
     assert below == [n - k for n, k in zip(m, ones)]
     assert bits.state == twin.state
 
@@ -400,11 +422,12 @@ def test_count_below_draws_only_what_T_needs():
 @pytest.mark.parametrize(
     "case, words", [(_silent, 16), (_noiseless, 0)], ids=["_silent", "_noiseless"]
 )
-def test_decided_cells_draw_only_the_cell_split(case, words, recorded_streams):
-    # Every cell's H is 0 or 2^53, so the walk draws nothing.  All four H
-    # are 2^53 when noiseless, so nothing is split either; when silent the
-    # x = 0 cells' H are 0 and the x = 1 cells' 2^53, so the 1000 plays
-    # are split once, by x, in ceil(1000 / 64) words.
+def test_decided_cells_draw_only_the_top_split(case, words, recorded_streams):
+    # Every cell's H is 0 or 2^53, so their sum is a multiple of 2^53.  All
+    # four H are 2^53 when noiseless, a sum of 2^55: every play hits and
+    # nothing is drawn.  When silent the x = 0 cells' H are 0 and the x = 1
+    # cells' 2^53, a sum of 2^54: the 1000 plays are split once, at bit 54,
+    # in ceil(1000 / 64) words.
     strategy, population = case()
     monte_carlo_accuracy(strategy, population, 1000, 3)
     (bits,) = recorded_streams
