@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 property failure, 2 domain error, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -100,12 +101,18 @@ def _check_keys(block: dict, allowed: set, where: str) -> None:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as handle:
-            raw = json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        raw = json.loads(data)
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError and integers over the int
+        # digit limit are all ValueErrors.
         raise UsageError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"config {path!r} nests too deeply") from exc
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
     _check_keys(raw, _CONFIG_KEYS, "config")
@@ -395,7 +402,14 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on first use and then shared.
+
+    Every later call in the process returns the same parser, so callers
+    must not change it; parsing leaves it as it was and gives each call a
+    fresh namespace.
+    """
     parser = _Parser(
         prog="identity-channel",
         description="Solve, verify, estimate and simulate the identity channel game.",

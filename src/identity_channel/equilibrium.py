@@ -315,8 +315,10 @@ def closed_form_equilibrium(population: Population) -> EquilibriumResult:
     with (n_A, n_B) from the case table on (k_A, k_B).
     """
     require_restricted(population)
-    augmented_params(population)  # raises for a receiver with no weights
-    return solve_batch(_row(population)[None]).result(0)
+    batch = solve_batch(_row(population)[None])
+    if not batch.solved[0]:
+        augmented_params(population)  # raises for a receiver with no weights
+    return batch.result(0)
 
 
 def _constraint_rows(p) -> tuple[np.ndarray, np.ndarray]:

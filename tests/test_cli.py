@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, reports, artifacts."""
 
+import argparse
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from identity_channel.cli import (
     EXIT_OK,
     EXIT_PROPERTY_FAILURE,
     EXIT_USAGE,
+    build_parser,
     load_config,
     main,
 )
@@ -110,6 +112,23 @@ class TestConfigLoading:
         path = tmp_path / "c.json"
         path.write_text("{not json")
         assert main(["equilibrium", "--config", str(path)]) == EXIT_USAGE
+
+    MALFORMED_FILES = {
+        "not-utf-8": b"\xff\xfe{\"population\": {}}",
+        "int-over-digit-limit": b'{"N": 1' + b"0" * 5000 + b"}",
+        "nested-too-deep": b"[" * 100000,
+    }
+
+    @pytest.mark.parametrize(
+        "content", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys()
+    )
+    def test_malformed_file_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        assert main(["equilibrium", "--config", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
 
     def test_loads_blocks(self, balanced_config):
         config = load_config(balanced_config)
@@ -788,3 +807,56 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["equilibrium"]) == EXIT_USAGE
+
+
+class TestSharedParser:
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        main(["verify", "--trials", "1"])
+        built.clear()
+        for _ in range(3):
+            assert main(["verify", "--trials", "1"]) == EXIT_OK
+            assert main(["bogus"]) == EXIT_USAGE
+        assert built == []
+        assert build_parser() is build_parser()
+
+    def test_no_state_leaks_between_calls(self, capsys, tmp_path, balanced_params):
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "population": balanced_params,
+                    "simulate": {"N": 100},
+                    "sweep": {
+                        "axes": [
+                            {"name": "lambda_s_A", "lo": 0.0, "hi": 1.0,
+                             "resolution": 3}
+                        ]
+                    },
+                }
+            )
+        )
+        sim = ["simulate", "--config", str(path), "--out", str(tmp_path / "s.csv")]
+        code, report = run_json(capsys, sim + ["--seed", "5"])
+        assert (code, report["seed"]) == (EXIT_OK, 5)
+        code, report = run_json(capsys, sim)
+        assert (code, report["seed"]) == (EXIT_OK, 0)
+
+        assert main(["verify", "--trials", "0"]) == EXIT_USAGE
+        capsys.readouterr()
+        code, report = run_json(capsys, ["verify", "--trials", "1", "--seed", "2"])
+        assert (code, report["trials"]) == (EXIT_OK, 1)
+
+        sweep = ["sweep", "--config", str(path), "--out", str(tmp_path / "w.csv")]
+        code, report = run_json(capsys, sweep + ["--audit"])
+        assert (code, report["audit_violations"]) == (EXIT_OK, [])
+        code, report = run_json(capsys, sweep)
+        assert code == EXIT_OK
+        assert not [key for key in report if key.startswith("audit_")]
