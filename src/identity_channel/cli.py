@@ -17,25 +17,21 @@ import sys
 from dataclasses import dataclass
 
 from .equilibrium import (
-    AssumptionViolated,
-    IndeterminateParams,
-    NoFeasibleEncoding,
+    UNRESTRICTED,
     check_equivalence,
+    check_population,
     closed_form_equilibrium,
     compare_batch,
-    require_restricted,
 )
 from .estimator import (
     DEFAULT_SEARCH_BOUND,
     GroundTruthOracle,
-    InvalidResolution,
     certified_estimates,
     estimate_k,
     strategy_from_estimates,
 )
 from .experiments import (
     MAX_PLAYS,
-    NonBelievingReceiver,
     SweepAxis,
     SweepSpec,
     expected_direction,
@@ -46,6 +42,7 @@ from .experiments import (
 )
 from .model import (
     PARAM_NAMES,
+    DomainError,
     Group,
     Population,
     SenderStrategy,
@@ -239,7 +236,7 @@ def cmd_estimate(args) -> int:
     delta = _config_real("estimator", "delta", config.estimator.get("delta", 0.0))
     M = _config_real("estimator", "M", config.estimator.get("M", DEFAULT_SEARCH_BOUND))
     # Bisection announces m_A = m_B = 1, optimal only under the restriction.
-    require_restricted(config.population)
+    check_population(config.population, UNRESTRICTED)
     oracle = GroundTruthOracle(config.population)
     res_A = estimate_k(oracle, Group.A, delta, M)
     res_B = estimate_k(oracle, Group.B, delta, M)
@@ -456,13 +453,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        AssumptionViolated,
-        IndeterminateParams,
-        InvalidResolution,
-        NoFeasibleEncoding,
-        NonBelievingReceiver,
-    ) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
 

@@ -14,14 +14,15 @@ cross-check, and `full_lp_oracle` is its one-population case.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
     PARAM_NAMES,
+    DomainError,
     Group,
+    IdentityProfile,
     Population,
     SenderStrategy,
     population_from_params,
@@ -34,15 +35,15 @@ from .receiver import believes
 _COLUMNS = {Group.A: slice(0, 4), Group.B: slice(4, 8)}
 
 
-class IndeterminateParams(ValueError):
-    """A receiver type with all weights zero has no augmented parameter."""
+class IndeterminateParams(ValueError, DomainError):
+    """A receiver type whose k is 0/0 or inf/inf has no augmented parameter."""
 
 
-class AssumptionViolated(ValueError):
+class AssumptionViolated(ValueError, DomainError):
     """Closed form requires out_group_penalty >= in_group_penalty for both types."""
 
 
-class NoFeasibleEncoding(RuntimeError):
+class NoFeasibleEncoding(RuntimeError, DomainError):
     """The vertex enumeration found no encoding both receiver types believe."""
 
 
@@ -83,16 +84,22 @@ class LpSolution:
     quality: float
 
 
+#: Bits of a receiver type's status, packed in this order by `type_ratio`; 0 = solvable.
+UNRESTRICTED, NAN_K, INVALID = 1, 2, 4
+
+
 def type_ratio(group: Group, params) -> tuple[np.ndarray, np.ndarray]:
-    """Validity and augmented ratio k of one receiver type's parameters.
+    """Status and augmented ratio k of one receiver type's parameters.
 
     The first stage of `solve_batch`.  `params` holds the type's four
     parameters in `PARAM_NAMES` order (accuracy weight, identity weight,
-    in-group and out-group penalty), each a float or an array.  A column is
-    valid when its parameters are finite and non-negative, its out-group
-    penalty is at least its in-group penalty, and its k is not NaN, as it
-    is for a receiver with no weights.  Division by a zero denominator
-    gives +inf where the numerator is positive.
+    in-group and out-group penalty), each a float or an array.  A column's
+    status sets UNRESTRICTED where the in-group penalty exceeds the
+    out-group one, NAN_K where k is 0/0 (no weights, or no accuracy weight
+    and zero identity weight x penalty products) or inf/inf (those products
+    overflow float64), and INVALID where a parameter is negative or not
+    finite.  Division by a zero denominator gives +inf where the numerator
+    is positive.
     """
     params = np.asarray(params, dtype=float)
     la, ls, dI, dO = params
@@ -101,37 +108,57 @@ def type_ratio(group: Group, params) -> tuple[np.ndarray, np.ndarray]:
             k = (ls * dI + la) / (ls * dO - la)
         else:
             k = (ls * dO - la) / (ls * dI + la)
-    valid = (np.isfinite(params) & (params >= 0.0)).all(axis=0)
-    return valid & (dO >= dI) & ~np.isnan(k), k
+    invalid = ~(np.isfinite(params) & (params >= 0.0)).all(axis=0)
+    return np.packbits([dI > dO, np.isnan(k), invalid], axis=0, bitorder="little")[0], k
+
+
+def raise_for_status(row, status) -> None:
+    """Raise the typed error of parameter row `row` for its (A, B) `status`.
+
+    `status` comes from `type_ratio`, masked to the bits the caller checks.
+    The order is invalid parameters (`IdentityProfile`'s ValueError), the
+    restriction (AssumptionViolated), then k 0/0 or inf/inf
+    (IndeterminateParams, its cause found from the row), type A first.
+    """
+    for cols, bits in zip(_COLUMNS.values(), status):
+        if bits & INVALID:  # the constructor raises, naming the parameter
+            IdentityProfile(*row[cols].tolist())
+    for group, bits in zip(_COLUMNS, status):
+        if bits & UNRESTRICTED:
+            raise AssumptionViolated(
+                f"receiver type {group.value} has in_group_penalty > "
+                "out_group_penalty; the closed form and the estimator "
+                "do not apply"
+            )
+    for (group, cols), bits in zip(_COLUMNS.items(), status):
+        if bits & NAN_K:
+            la, ls, _, dO = row[cols].tolist()
+            if la == 0.0 and ls == 0.0:
+                reason = "has zero accuracy and identity weights"
+            elif np.isinf(ls * dO):
+                reason = (
+                    f"overflows float64: identity weight x out-group penalty = "
+                    f"{ls!r} x {dO!r}, so k is inf/inf"
+                )
+            else:
+                reason = (
+                    "has no accuracy weight and zero identity weight x penalty "
+                    "products, so k is 0/0"
+                )
+            raise IndeterminateParams(f"receiver type {group.value} {reason}")
+
+
+def check_population(population: Population, bits: int) -> tuple[float, float]:
+    """(k_A, k_B) of the population; raises for its status `bits` that are set."""
+    row = _row(population)
+    (status_A, k_A), (status_B, k_B) = (type_ratio(g, row[_COLUMNS[g]]) for g in Group)
+    raise_for_status(row, (status_A & bits, status_B & bits))
+    return float(k_A), float(k_B)
 
 
 def augmented_params(population: Population) -> AugmentedParams:
-    """Compute (k_A, k_B); a type whose k is 0/0 or inf/inf raises.
-
-    k is 0/0 for a receiver with no weights, or with no accuracy weight and
-    zero products of identity weight and penalties; it is inf/inf when
-    those products overflow float64.
-    """
-    row = _row(population)
-    ks = [type_ratio(group, row[_COLUMNS[group]])[1] for group in Group]
-    for group, k in zip(Group, ks):
-        if not np.isnan(k):
-            continue
-        la, ls, _, dO = row[_COLUMNS[group]].tolist()
-        if la == 0.0 and ls == 0.0:
-            reason = "has zero accuracy and identity weights"
-        elif math.isinf(ls * dO):
-            reason = (
-                f"overflows float64: identity weight x out-group penalty = "
-                f"{ls!r} x {dO!r}, so k is inf/inf"
-            )
-        else:
-            reason = (
-                "has no accuracy weight and zero identity weight x penalty "
-                "products, so k is 0/0"
-            )
-        raise IndeterminateParams(f"receiver type {group.value} {reason}")
-    return AugmentedParams(k_A=float(ks[0]), k_B=float(ks[1]))
+    """Compute (k_A, k_B); a type whose k is 0/0 or inf/inf raises."""
+    return AugmentedParams(*check_population(population, NAN_K))
 
 
 #: Nudge iterations; the step doubles each time, so 64 reach any coordinate.
@@ -142,13 +169,16 @@ _NUDGE_STEPS = 64
 class BatchEquilibrium:
     """Closed-form equilibria of N populations, one array entry each.
 
-    Every encoding has m_A = m_B = 1.  Where `solved` is False the
-    population failed validation or the restriction, or has a receiver with
-    no weights, and the other entries are meaningless.  `case` indexes
+    Every encoding has m_A = m_B = 1.  `status_A` and `status_B` are the
+    types' statuses from `type_ratio`; a population is solved where both
+    are 0, and elsewhere (invalid parameters, the restriction violated, or
+    k 0/0 or inf/inf) the other entries are meaningless.  `case` indexes
     `CASE_LABELS`.
     """
 
     solved: np.ndarray
+    status_A: np.ndarray
+    status_B: np.ndarray
     k_A: np.ndarray
     k_B: np.ndarray
     case: np.ndarray
@@ -206,22 +236,24 @@ def solve_batch(params: np.ndarray) -> BatchEquilibrium:
     """Analytic equilibria of populations given as rows of their parameters.
 
     `params` has shape (N, 8), columns in `PARAM_NAMES` order.  A row is
-    solved when both receiver types' parameters are valid by `type_ratio`,
-    which also gives (k_A, k_B); `solve_cells` then solves the solved rows.
+    solved when both receiver types' statuses from `type_ratio`, which also
+    gives (k_A, k_B), are 0; `solve_cells` then solves the solved rows.
     Raises NoFeasibleEncoding if a solved row has no believed point.
     """
     p = np.ascontiguousarray(np.asarray(params, dtype=float).T)
-    valid_A, k_A = type_ratio(Group.A, p[_COLUMNS[Group.A]])
-    valid_B, k_B = type_ratio(Group.B, p[_COLUMNS[Group.B]])
-    solved = valid_A & valid_B
+    status_A, k_A = type_ratio(Group.A, p[_COLUMNS[Group.A]])
+    status_B, k_B = type_ratio(Group.B, p[_COLUMNS[Group.B]])
+    solved = (status_A | status_B) == 0
     (rows,) = np.nonzero(solved)
-    n_A, n_B = np.zeros_like(k_A), np.zeros_like(k_A)
+    n_A, n_B = np.zeros((2, len(k_A)))
     case = np.zeros(len(k_A), dtype=np.intp)
     case[rows], n_A[rows], n_B[rows] = solve_cells(
-        k_A[rows], k_B[rows], np.take(p, rows, axis=1)
+        k_A[rows], k_B[rows], p[:, rows]
     )
     return BatchEquilibrium(
         solved=solved,
+        status_A=status_A,
+        status_B=status_B,
         k_A=k_A,
         k_B=k_B,
         case=case,
@@ -252,14 +284,14 @@ def solve_cells(k_A, k_B, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0)
     # Closure of each case in CASE_LABELS order, one row per cell; its flat
     # nonzero positions are the (cell, case) pairs, cell-major.
-    closure = np.stack([
+    closure = np.column_stack([
         (k_A <= 0.0) & (k_B <= 0.0),
         (k_B >= k_A) & (k_A >= 0.0),
         (0.0 <= k_A) & (k_A <= 1.0) & (k_A >= k_B),
         (k_A >= 1.0) & (1.0 >= k_B),
         (k_A >= k_B) & (k_B >= 1.0),
         (k_B >= 0.0) & (0.0 >= k_A),
-    ], axis=1)
+    ])
     cell, case = np.divmod(np.flatnonzero(closure), len(CASE_LABELS))
     kA, kB = k_A[cell], k_B[cell]
     # Each candidate's point for its own case: (1, 1), (0, 0), (1, k_A),
@@ -292,32 +324,16 @@ def _row(population: Population) -> np.ndarray:
     return np.array(list(population_params(population).values()))
 
 
-def require_restricted(population: Population) -> None:
-    """Raise AssumptionViolated unless both types satisfy the restriction.
-
-    The restriction (out-group penalty at least the in-group penalty) makes
-    m_A = m_B = 1 optimal, which the closed form and the estimator's
-    bisection both take for granted.
-    """
-    for group in Group:
-        if not population.profile(group).restricted:
-            raise AssumptionViolated(
-                f"receiver type {group.value} has in_group_penalty > "
-                "out_group_penalty; the closed form and the estimator "
-                "do not apply"
-            )
-
-
 def closed_form_equilibrium(population: Population) -> EquilibriumResult:
     """Analytic equilibrium encoding under the penalty-ordering restriction.
 
-    The one-population case of `solve_batch`: always reports m_A = m_B = 1,
-    with (n_A, n_B) from the case table on (k_A, k_B).
+    The one-population case of `solve_batch`, or its `raise_for_status`
+    error: m_A = m_B = 1, with (n_A, n_B) from the case table on (k_A, k_B).
     """
-    require_restricted(population)
-    batch = solve_batch(_row(population)[None])
+    row = _row(population)
+    batch = solve_batch(row[None])
     if not batch.solved[0]:
-        augmented_params(population)  # raises for a receiver with no weights
+        raise_for_status(row, (batch.status_A[0], batch.status_B[0]))
     return batch.result(0)
 
 
@@ -373,8 +389,9 @@ def lp_oracle_batch(params) -> np.ndarray:
     """
     p = np.asarray(params, dtype=float)
     out = np.full((len(p), 4), np.nan)
-    for start in range(0, len(p), _LP_BLOCK):
-        _lp_block(p[start:start + _LP_BLOCK], out[start:start + _LP_BLOCK])
+    with np.errstate(over="ignore", invalid="ignore"):  # silent on overflowing rows
+        for start in range(0, len(p), _LP_BLOCK):
+            _lp_block(p[start:start + _LP_BLOCK], out[start:start + _LP_BLOCK])
     return out
 
 
@@ -455,18 +472,18 @@ class EquivalenceReport:
 def compare_batch(params) -> EquivalenceReport:
     """Run both solvers on populations given as rows of their parameters.
 
-    If either solver fails on a row, the first such row goes through the
-    one-population solvers, which raise the closed form's typed error
-    before the LP oracle's.
+    If either solver fails on a row, the first such row raises: the closed
+    form's typed error from its status (`raise_for_status`), else the LP
+    oracle's NoFeasibleEncoding.
     """
     params = np.asarray(params, dtype=float)
     closed = solve_batch(params)
     lp = lp_oracle_batch(params)
     (bad,) = np.nonzero(~closed.solved | np.isnan(lp[:, 0]))
     if len(bad):
-        population = population_from_params(dict(zip(PARAM_NAMES, params[bad[0]])))
-        closed_form_equilibrium(population)
-        full_lp_oracle(population)
+        i = bad[0]
+        raise_for_status(params[i], (closed.status_A[i], closed.status_B[i]))
+        raise NoFeasibleEncoding("no vertex satisfies the belief constraints")
     strategy = np.column_stack([np.ones((len(lp), 2)), closed.n_A, closed.n_B])
     return EquivalenceReport(
         params=params,

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from .model import Group, Population, SenderStrategy
+from .model import DomainError, Group, Population, SenderStrategy
 from .receiver import believes
 
 #: Default search upper bound for the augmented parameters.
@@ -26,7 +26,7 @@ DEFAULT_SEARCH_BOUND = 1.0e4
 _BOUNDARY_BIAS = 1e-14
 
 
-class InvalidResolution(ValueError):
+class InvalidResolution(ValueError, DomainError):
     """A resolution or search bound the bisection cannot use.
 
     Raised for a non-positive resolution, one at least the search bound, or

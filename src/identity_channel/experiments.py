@@ -23,6 +23,7 @@ import numpy as np
 from .equilibrium import CASE_LABELS, solve_cells, type_ratio
 from .model import (
     PARAM_NAMES,
+    DomainError,
     Group,
     Population,
     SenderStrategy,
@@ -50,7 +51,7 @@ _MC_CHUNK = 1 << 16
 MAX_PLAYS = 2**63 - 1
 
 
-class NonBelievingReceiver(ValueError):
+class NonBelievingReceiver(ValueError, DomainError):
     """Monte Carlo accuracy requires a strategy both receiver types believe."""
 
 
@@ -227,13 +228,13 @@ def run_sweep(spec: SweepSpec, start: int) -> SweepResult:
 
     The block is grid positions [start, start + `_SWEEP_BLOCK`) in row-major
     order, cut at the grid's end.  Each receiver type's parameters, their
-    validity and k are computed once per type row in the block's range
+    status and k are computed once per type row in the block's range
     (`_type_rows`) by `type_ratio`; a cell takes its types' rows, and the
-    cells whose types are both valid are solved at once by `solve_cells`.
-    Cells whose parameters are invalid (e.g. a negative simplex
-    complement), that violate the penalty-ordering restriction, or whose
-    receiver has all weights zero are skipped and reported by grid
-    position.  `stream_sweep` runs every block of a grid.
+    cells whose types both have status 0 are solved at once by
+    `solve_cells`.  The others are skipped and reported by grid position:
+    a parameter is negative or not finite (e.g. a negative simplex
+    complement), a type violates the penalty-ordering restriction, or a
+    type's k is 0/0 or inf/inf.  `stream_sweep` runs every block of a grid.
     """
     position = np.arange(start, min(start + _SWEEP_BLOCK, math.prod(spec.shape)))
     index = np.unravel_index(position, spec.shape)
@@ -244,8 +245,8 @@ def run_sweep(spec: SweepSpec, start: int) -> SweepResult:
         first, end = int(row.min()), int(row.max()) + 1
         row -= first
         p = _type_params(spec, group, np.arange(first, end))
-        valid, k = type_ratio(group, p)
-        ok &= valid[row]
+        status, k = type_ratio(group, p)
+        ok &= (status == 0)[row]
         rows.append(row)
         params.append(p)
         k_rows.append((first, k))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 #: Canonical parameter names for a two-type population, used by config files
@@ -26,6 +26,10 @@ PARAM_NAMES = (
     "delta_I_B",
     "delta_O_B",
 )
+
+
+class DomainError(Exception):
+    """Base of the typed errors for valid inputs outside a command's domain (exit 2)."""
 
 
 class Group(str, enum.Enum):
@@ -56,20 +60,10 @@ class IdentityProfile:
     out_group_penalty: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "accuracy_weight",
-            "identity_weight",
-            "in_group_penalty",
-            "out_group_penalty",
-        ):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-    @property
-    def restricted(self) -> bool:
-        """True when the out-group penalty dominates the in-group penalty."""
-        return self.out_group_penalty >= self.in_group_penalty
+                raise ValueError(f"{field.name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,10 +75,6 @@ class Population:
 
     def profile(self, group: Group) -> IdentityProfile:
         return self.profile_A if group is Group.A else self.profile_B
-
-    @property
-    def restricted(self) -> bool:
-        return self.profile_A.restricted and self.profile_B.restricted
 
 
 def population_from_params(params: Mapping[str, float]) -> Population:

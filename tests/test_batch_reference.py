@@ -109,7 +109,8 @@ def reference_nudge(n_A, n_B, population):
 
 def reference_closed_form(population):
     for group in Group:
-        if not population.profile(group).restricted:
+        profile = population.profile(group)
+        if profile.out_group_penalty < profile.in_group_penalty:
             raise AssumptionViolated(group.value)
     params = reference_augmented(population)
     best = None

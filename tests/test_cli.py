@@ -5,10 +5,13 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import identity_channel
 from identity_channel.cli import (
     EXIT_DOMAIN_ERROR,
     EXIT_OK,
@@ -18,6 +21,14 @@ from identity_channel.cli import (
     load_config,
     main,
 )
+from identity_channel.equilibrium import (
+    AssumptionViolated,
+    IndeterminateParams,
+    NoFeasibleEncoding,
+)
+from identity_channel.estimator import InvalidResolution
+from identity_channel.experiments import NonBelievingReceiver
+from identity_channel.model import DomainError
 
 
 @pytest.fixture
@@ -159,6 +170,54 @@ class TestEquilibriumCommand:
         path.write_text(json.dumps({"population": params}))
         assert main(["equilibrium", "--config", str(path)]) == EXIT_DOMAIN_ERROR
 
+    @pytest.mark.parametrize(
+        "params, command, code, error",
+        # Type A has no weights and type B violates the restriction: the
+        # restriction is checked first, by every command.
+        [
+            (
+                dict(lambda_a_A=0.0, lambda_s_A=0.0, delta_I_B=2.0, delta_O_B=1.0),
+                command,
+                EXIT_DOMAIN_ERROR,
+                "error: receiver type B has in_group_penalty > out_group_penalty",
+            )
+            for command in ("equilibrium", "verify", "estimate", "simulate")
+        ]
+        # Type A's k overflows and type B has no weights: type A is named
+        # first.  The estimator checks only the restriction, so it runs.
+        + [
+            (
+                dict(
+                    lambda_a_A=0.5e300, lambda_s_A=1e300, delta_I_A=1e10,
+                    delta_O_A=2e10, lambda_a_B=0.0, lambda_s_B=0.0,
+                ),
+                command,
+                EXIT_OK if command == "estimate" else EXIT_DOMAIN_ERROR,
+                None if command == "estimate" else "error: receiver type A overflows",
+            )
+            for command in ("equilibrium", "verify", "estimate", "simulate")
+        ],
+    )
+    def test_error_order_when_checks_fail_together(
+        self, capsys, tmp_path, balanced_params, params, command, code, error
+    ):
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "population": dict(balanced_params, **params),
+                    "estimator": {"delta": 1e-6},
+                    "simulate": {"N": 1000, "seed": 1},
+                }
+            )
+        )
+        argv = [command, "--config", str(path)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "sim.csv")]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(error) if error else err == ""
+
     def test_overflowing_weights_exit_2_naming_the_overflow(
         self, capsys, tmp_path, balanced_params
     ):
@@ -271,6 +330,35 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "type A" in captured.err
+
+    @pytest.mark.parametrize(
+        "type_A",
+        [(1.0, 4.149515568880993e180, 1e150, 2e150), (0.5e300, 1e300, 1e10, 2e10)],
+        ids=["products-overflow", "weights-overflow"],
+    )
+    def test_overflowing_config_writes_the_error_line_alone(
+        self, tmp_path, balanced_params, type_A
+    ):
+        # Type A's k is inf/inf, and the LP oracle, which runs before the
+        # closed form's error is raised, overflows on its products.  NumPy
+        # warnings would go to stderr ahead of the error, so this runs the
+        # CLI in a process of its own to see its whole stderr.
+        names = ("lambda_a_A", "lambda_s_A", "delta_I_A", "delta_O_A")
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps({"population": dict(balanced_params, **dict(zip(names, type_A)))})
+        )
+        src = os.path.dirname(os.path.dirname(identity_channel.__file__))
+        run = subprocess.run(
+            [sys.executable, "-m", "identity_channel.cli", "verify", "--config", str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert run.returncode == EXIT_DOMAIN_ERROR
+        assert run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith("error: receiver type A overflows float64")
 
 
 class TestEstimateCommand:
@@ -799,6 +887,37 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         assert report["seed"] == seed
         assert out.read_text().splitlines()[1].split(",")[1] == str(seed)
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize(
+        "error, base",
+        [
+            (AssumptionViolated, ValueError),
+            (IndeterminateParams, ValueError),
+            (NoFeasibleEncoding, RuntimeError),
+            (InvalidResolution, ValueError),
+            (NonBelievingReceiver, ValueError),
+        ],
+        ids=lambda value: value.__name__,
+    )
+    def test_every_domain_error_exits_2(
+        self, capsys, monkeypatch, balanced_config, error, base
+    ):
+        # Each keeps its own base, so no `except` elsewhere changes what it
+        # catches, and the CLI maps all of them to exit 2 through DomainError.
+        from identity_channel import cli
+
+        assert issubclass(error, DomainError) and issubclass(error, base)
+
+        def fail(population):
+            raise error("raised by the solver")
+
+        monkeypatch.setattr(cli, "closed_form_equilibrium", fail)
+        assert main(["equilibrium", "--config", balanced_config]) == EXIT_DOMAIN_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: raised by the solver\n"
 
 
 class TestUsage:

@@ -185,6 +185,42 @@ class TestClosedForm:
         with pytest.raises(AssumptionViolated, match="type A"):
             closed_form_equilibrium(pop)
 
+    @pytest.mark.parametrize(
+        "row, solver, error, match",
+        [
+            # Type A has no weights and type B violates the restriction: the
+            # restriction comes first, but `augmented_params` checks k only.
+            ((0, 0, 1, 2, 0.55, 0.45, 2, 1), "closed_form", AssumptionViolated,
+             "type B has in_group_penalty > out_group_penalty"),
+            ((0, 0, 1, 2, 0.55, 0.45, 2, 1), "compare_batch", AssumptionViolated,
+             "type B has in_group_penalty > out_group_penalty"),
+            ((0, 0, 1, 2, 0.55, 0.45, 2, 1), "augmented_params", IndeterminateParams,
+             "type A has zero accuracy and identity weights"),
+            # Type A both has no weights and violates the restriction.
+            ((0, 0, 2, 1, 0.55, 0.45, 1, 3.5), "closed_form", AssumptionViolated,
+             "type A has in_group_penalty > out_group_penalty"),
+            ((0, 0, 2, 1, 0.55, 0.45, 1, 3.5), "compare_batch", AssumptionViolated,
+             "type A has in_group_penalty > out_group_penalty"),
+            ((0, 0, 2, 1, 0.55, 0.45, 1, 3.5), "augmented_params", IndeterminateParams,
+             "type A has zero accuracy and identity weights"),
+            # Type A's k overflows and type B has no weights: type A first.
+            ((0.5e300, 1e300, 1e10, 2e10, 0, 0, 1, 2), "closed_form",
+             IndeterminateParams, "type A overflows float64"),
+            ((0.5e300, 1e300, 1e10, 2e10, 0, 0, 1, 2), "compare_batch",
+             IndeterminateParams, "type A overflows float64"),
+            ((0.5e300, 1e300, 1e10, 2e10, 0, 0, 1, 2), "augmented_params",
+             IndeterminateParams, "type A overflows float64"),
+        ],
+    )
+    def test_error_order_when_checks_fail_together(self, row, solver, error, match):
+        solve = {
+            "closed_form": lambda: closed_form_equilibrium(make_population(*row)),
+            "compare_batch": lambda: compare_batch([row]),
+            "augmented_params": lambda: augmented_params(make_population(*row)),
+        }[solver]
+        with pytest.raises(error, match=f"^receiver {match}"):
+            solve()
+
     def test_boundary_k_A_equals_one(self):
         # ls=1, la=0.5, dI=1, dO=2 gives k_A = 1.5/1.5 = 1 exactly.
         pop = make_population(0.5, 1.0, 1, 2, 0.5, 0.0, 1, 2)

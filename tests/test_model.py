@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from identity_channel.model import (
     Group,
     IdentityProfile,
-    Population,
     ReceiverStrategy,
     SenderStrategy,
     accuracy_utility,
@@ -37,13 +36,6 @@ class TestTypes:
             make_profile(la=-0.1)
         with pytest.raises(ValueError):
             make_profile(dO=math.inf)
-
-    def test_restricted_flag(self):
-        assert make_profile(dI=1.0, dO=2.0).restricted
-        assert make_profile(dI=1.0, dO=1.0).restricted
-        assert not make_profile(dI=2.0, dO=1.0).restricted
-        pop = Population(make_profile(), make_profile(dI=2.0, dO=1.0))
-        assert not pop.restricted
 
     def test_strategy_bounds(self):
         with pytest.raises(ValueError):
