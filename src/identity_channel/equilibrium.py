@@ -273,43 +273,42 @@ def solve_cells(k_A, k_B, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     fall in several closures.  The candidates form one flat list of
     (cell, case) pairs, cell-major, so each cell's candidates are
     contiguous and in table order; a point is computed only for its own
-    case.  A point sitting exactly on a constraint boundary can round to a
-    residual a few ulps below zero, so the points that a type rejects at
-    the first test are backed off by `_nudge`.  Within each cell's run of
-    candidates the believed point of maximal quality wins, the first in
-    table order on exact quality ties.  Raises NoFeasibleEncoding if a
-    cell has no believed point.
+    case (`_believed_points`).  Within each cell's run of candidates the
+    believed point of maximal quality wins, the first in table order on
+    exact quality ties.  The closures cover every (k_A, k_B) that is not
+    NaN, so when there are M candidates, no cell is on a case boundary:
+    each cell's one candidate is its point, and the populations' columns
+    are used as given, with no gather and no selection.  Raises
+    NoFeasibleEncoding if a cell has no believed point.
     """
     if not len(k_A):
         return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0)
-    # Closure of each case in CASE_LABELS order, one row per cell; its flat
-    # nonzero positions are the (cell, case) pairs, cell-major.
+    # Closure of each case in CASE_LABELS order, one row per cell, from the
+    # ten comparisons they share; its flat nonzero positions are the
+    # (cell, case) pairs, cell-major.
+    A_le0, A_ge0, A_le1, A_ge1 = k_A <= 0.0, k_A >= 0.0, k_A <= 1.0, k_A >= 1.0
+    B_le0, B_ge0, B_le1, B_ge1 = k_B <= 0.0, k_B >= 0.0, k_B <= 1.0, k_B >= 1.0
+    A_geB, B_geA = k_A >= k_B, k_B >= k_A
     closure = np.column_stack([
-        (k_A <= 0.0) & (k_B <= 0.0),
-        (k_B >= k_A) & (k_A >= 0.0),
-        (0.0 <= k_A) & (k_A <= 1.0) & (k_A >= k_B),
-        (k_A >= 1.0) & (1.0 >= k_B),
-        (k_A >= k_B) & (k_B >= 1.0),
-        (k_B >= 0.0) & (0.0 >= k_A),
+        A_le0 & B_le0,
+        B_geA & A_ge0,
+        A_ge0 & A_le1 & A_geB,
+        A_ge1 & B_le1,
+        A_geB & B_ge1,
+        B_ge0 & A_le0,
     ])
-    cell, case = np.divmod(np.flatnonzero(closure), len(CASE_LABELS))
-    kA, kB = k_A[cell], k_B[cell]
-    # Each candidate's point for its own case: (1, 1), (0, 0), (1, k_A),
-    # (1, 1), (1/k_B, 1) and (min(1, 1/k_B), 1), which is 1 at k_B = 0.
-    with np.errstate(divide="ignore"):
-        a = np.where(case >= 4, np.minimum(1.0, 1.0 / kB), case != 1)
-    b = np.where(case == 2, kA, case != 1)
+    candidates = np.flatnonzero(closure)
+    if len(candidates) == len(k_A):
+        case = candidates % len(CASE_LABELS)
+        a, b, ok = _believed_points(case, k_A, k_B, params)
+        if not ok.all():
+            raise NoFeasibleEncoding("no analytic candidate is feasible")
+        return case, a, b
 
-    pts = np.take(params, cell, axis=1)
-    bel_A, bel_B = believes((1.0, 1.0, a, b), pts)
-    ok = bel_A & bel_B
-    (rejected,) = np.nonzero(~ok)
-    a_r, b_r = a[rejected], b[rejected]
-    ok[rejected] = _nudge(
-        a_r, b_r, pts[:, rejected], bel_A[rejected], bel_B[rejected]
+    cell, case = np.divmod(candidates, len(CASE_LABELS))
+    a, b, ok = _believed_points(
+        case, k_A[cell], k_B[cell], np.take(params, cell, axis=1)
     )
-    a[rejected], b[rejected] = a_r, b_r
-
     q = np.where(ok, 2.0 + a + b, -np.inf)
     best = np.maximum.reduceat(q, np.flatnonzero(_run_starts(cell)))
     if len(best) < len(k_A) or best.min() == -np.inf:
@@ -317,6 +316,31 @@ def solve_cells(k_A, k_B, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (top,) = np.nonzero(q == best[cell])
     win = top[_run_starts(cell[top])]
     return case[win], a[win], b[win]
+
+
+def _believed_points(case, k_A, k_B, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n_A, n_B, believed) of candidate points, one per entry of `case`.
+
+    `k_A`, `k_B` and the parameter columns `pts` are each candidate's.  The
+    point of a case is (1, 1), (0, 0), (1, k_A), (1, 1), (1/k_B, 1) or
+    (min(1, 1/k_B), 1), which is 1 at k_B = 0.  A point sitting exactly on
+    a constraint boundary can round to a residual a few ulps below zero,
+    so the points that a type rejects at the first test are backed off by
+    `_nudge`; `believed` says whether both types then believe each point.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.where(case >= 4, np.minimum(1.0, 1.0 / k_B), case != 1)
+    b = np.where(case == 2, k_A, case != 1)
+    bel_A, bel_B = believes((1.0, 1.0, a, b), pts)
+    ok = bel_A & bel_B
+    (rejected,) = np.nonzero(~ok)
+    if len(rejected):
+        a_r, b_r = a[rejected], b[rejected]
+        ok[rejected] = _nudge(
+            a_r, b_r, pts[:, rejected], bel_A[rejected], bel_B[rejected]
+        )
+        a[rejected], b[rejected] = a_r, b_r
+    return a, b, ok
 
 
 def _row(population: Population) -> np.ndarray:

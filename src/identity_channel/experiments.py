@@ -34,11 +34,11 @@ from .receiver import believes
 _AUDIT_TOL = 1e-9
 
 #: Grid cells solved per block: bounds a sweep's working arrays (a traced
-#: peak of about 2 MiB at 8192 cells) whatever the grid size.  Each block
-#: also costs about 0.6 ms whatever its size, beside about 0.37 us per cell
+#: peak of about 2.7 MiB at 8192 cells) whatever the grid size.  Each block
+#: also costs about 0.4 ms whatever its size, beside about 0.26 us per cell
 #: (a fit over blocks of 512 to 8192 cells of the 201x201 benchmark grid
-#: written to /dev/null, 2-CPU host; two runs gave 0.62 and 0.74 ms, 0.36
-#: and 0.39 us), so at 8192 cells that fixed cost is about a sixth of a block.
+#: written to /dev/null, 2-CPU host; two runs gave 0.44 and 0.37 ms, 0.24
+#: and 0.28 us), so at 8192 cells that fixed cost is about a sixth of a block.
 _SWEEP_BLOCK = 8192
 
 #: Raw words drawn and counted at a time by `_fair_split`: bounds the Monte
@@ -163,6 +163,9 @@ class SweepResult:
     has m_A = m_B = 1.  `k_rows` holds, for receiver types A and B, the
     first of the type rows the block's cells use and k of each row from
     there on (see `_type_rows`), whether or not a cell using it was solved.
+    `index` holds the solved cells' index along each axis and `rows` their
+    type rows for A and B, counted from that first row, so that the writer
+    and the audit need not work them out again from `solved`.
     """
 
     spec: SweepSpec
@@ -175,6 +178,8 @@ class SweepResult:
     n_B: np.ndarray
     Q: np.ndarray
     k_rows: tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]
+    index: tuple[np.ndarray, ...]
+    rows: tuple[np.ndarray, np.ndarray]
 
     def coordinates(self, positions: np.ndarray) -> list[np.ndarray]:
         """Axis values at flat grid `positions`, one array per axis."""
@@ -199,10 +204,14 @@ def _type_rows(spec: SweepSpec, group: Group, index) -> np.ndarray:
     it, so its rows number those indices row-major: all 0 for a type no
     axis moves, an axis's index for a type one axis moves, and the grid
     position for a type both axes move.  `index` holds the cells' index
-    along each axis.
+    along each axis; the index of the one axis moving a type is returned
+    as it is.
     """
-    row = np.zeros_like(index[0])
-    for k in _moving(spec, group):
+    moving = _moving(spec, group)
+    if not moving:
+        return np.zeros_like(index[0])
+    row = index[moving[0]]
+    for k in moving[1:]:
         row = row * spec.shape[k] + index[k]
     return row
 
@@ -223,7 +232,7 @@ def _type_params(spec: SweepSpec, group: Group, rows: np.ndarray) -> np.ndarray:
     return params
 
 
-def run_sweep(spec: SweepSpec, start: int) -> SweepResult:
+def run_sweep(spec: SweepSpec, start: int, held: dict | None = None) -> SweepResult:
     """Evaluate the closed-form equilibrium on one block of the grid.
 
     The block is grid positions [start, start + `_SWEEP_BLOCK`) in row-major
@@ -235,29 +244,45 @@ def run_sweep(spec: SweepSpec, start: int) -> SweepResult:
     a parameter is negative or not finite (e.g. a negative simplex
     complement), a type violates the penalty-ordering restriction, or a
     type's k is 0/0 or inf/inf.  `stream_sweep` runs every block of a grid.
+
+    `held`, the dict `write_sweep_csv` takes, kept across the blocks of
+    one sweep, keeps each type's parameters, status and k per type row
+    while the next block spans the same rows, as the type moved by a 2-D
+    sweep's second axis does; a type's old rows are dropped before its new
+    ones are computed, so only one block's rows are held.
     """
+    if held is None:
+        held = {}
     position = np.arange(start, min(start + _SWEEP_BLOCK, math.prod(spec.shape)))
     index = np.unravel_index(position, spec.shape)
     ok = np.ones(len(position), dtype=bool)
     rows, params, k_rows = [], [], []
     for group in Group:
         row = _type_rows(spec, group, index)
-        first, end = int(row.min()), int(row.max()) + 1
-        row -= first
-        p = _type_params(spec, group, np.arange(first, end))
-        status, k = type_ratio(group, p)
+        span = (int(row.min()), int(row.max()) + 1)
+        key = (group, "rows")
+        if key not in held or held[key][0] != span:
+            held.pop(key, None)
+            p = _type_params(spec, group, np.arange(*span))
+            held[key] = (span, p, *type_ratio(group, p))
+        _, p, status, k = held[key]
+        row = row - span[0]
         ok &= (status == 0)[row]
         rows.append(row)
         params.append(p)
-        k_rows.append((first, k))
-    rows = [row[ok] for row in rows]
+        k_rows.append((span[0], k))
+    rows = tuple(row[ok] for row in rows)
+    # The solved cells' eight parameter columns, each type's four gathered
+    # into its half; the rows are in range, and mode="clip" writes to `out`
+    # without the bounds-checked mode's buffer.
+    cells = np.empty((2, 4, len(rows[0])))
+    for p, row, out in zip(params, rows, cells):
+        np.take(p, row, axis=1, out=out, mode="clip")
     k_A, k_B = (k[row] for (_, k), row in zip(k_rows, rows))
-    case, n_A, n_B = solve_cells(
-        k_A, k_B, np.concatenate([np.take(p, row, 1) for p, row in zip(params, rows)])
-    )
+    case, n_A, n_B = solve_cells(k_A, k_B, cells.reshape(8, -1))
     return SweepResult(
         spec, position[ok], position[~ok], k_A, k_B, case, n_A, n_B,
-        2.0 + n_A + n_B, tuple(k_rows),
+        2.0 + n_A + n_B, tuple(k_rows), tuple(i[ok] for i in index), rows,
     )
 
 
@@ -314,24 +339,32 @@ def _csv_lines(fields: list[np.ndarray]) -> np.ndarray:
     """One comma-separated line per row of the aligned bytes columns `fields`.
 
     Each row is one record of a structured array: a NUL-padded field per
-    column, each followed by a one-byte separator field.  Float text and
-    the quoted case labels hold no NUL, so dropping the NULs leaves the
-    lines, as a uint8 array; an all-NUL field comes out empty.
+    column, each followed by a one-byte separator field.  The array is
+    filled from one record holding the separators, then each column is
+    written into its field.  Float text and the quoted case labels hold no
+    NUL, so dropping the NULs leaves the lines, as a uint8 array; an
+    all-NUL field comes out empty.
     """
     names = [f"f{k}" for k in range(len(fields))]
     layout = []
     for name, field in zip(names, fields):
         layout += [(name, field.dtype), (f"{name}_end", "S1")]
-    grid = np.empty(len(fields[0]), dtype=layout)
+    layout = np.dtype(layout)
+    record = np.zeros(layout.itemsize, dtype=np.uint8)
+    for name in names:
+        record[layout.fields[f"{name}_end"][1]] = ord(",")
+    record[-1] = ord("\n")
+    # Copied as bytes: NumPy copies a structured record field by field.
+    flat = np.empty((len(fields[0]), layout.itemsize), dtype=np.uint8)
+    flat[:] = record
+    grid = flat.view(layout)[:, 0]
     for name, field in zip(names, fields):
         grid[name] = field
-        grid[f"{name}_end"] = b","
-    grid[f"{names[-1]}_end"] = b"\n"
-    flat = grid.view(np.uint8)
+    flat = flat.ravel()
     return flat[flat != 0]
 
 
-def write_sweep_csv(result: SweepResult, handle, axis_text=None) -> None:
+def write_sweep_csv(result: SweepResult, handle, held=None) -> None:
     """Write one block's CSV rows, one per solved cell, to the binary file `handle`.
 
     Rows carry 12 significant digits under `SWEEP_CSV_HEADER`; a 1-D
@@ -345,29 +378,30 @@ def write_sweep_csv(result: SweepResult, handle, axis_text=None) -> None:
     whatever the grid size.  The case labels are quoted by csv.writer; the
     bytes are those csv.writer would write.
 
-    `axis_text`, a dict kept across the blocks of one sweep, holds each
-    axis's and each receiver type's last formatted range: a 2-D sweep's
-    second axis, and the type it moves, span the same range in block after
-    block, so their text is formatted once.
+    `held`, a dict kept across the blocks of one sweep, holds each axis's
+    and each receiver type's last formatted range (and `run_sweep`'s type
+    rows): a 2-D sweep's second axis, and the type it moves, span the same
+    range in block after block, so their text is formatted once.  Each
+    cell's axis indices and type rows come from `result.index` and
+    `result.rows`.
     """
     if len(result.solved) == 0:
         return
-    if axis_text is None:
-        axis_text = {}
+    if held is None:
+        held = {}
     fields = []
-    index = np.unravel_index(result.solved, result.spec.shape)
-    for k, (axis, i) in enumerate(zip(result.spec.axes, index)):
+    for k, (axis, i) in enumerate(zip(result.spec.axes, result.index)):
         # A block's cells are consecutive grid positions, so each axis's
         # indices span a range no longer than the block or the axis.
         span = (int(i.min()), int(i.max()) + 1)
-        text = _span_text(axis_text, k, span, lambda s: axis.values(np.arange(*s)))
+        text = _span_text(held, k, span, lambda s: axis.values(np.arange(*s)))
         fields.append(text[i - span[0]])
     if len(fields) == 1:
         fields.append(np.zeros(len(result.solved), dtype="S1"))
-    for group, (first, ratios) in zip(Group, result.k_rows):
+    for group, (first, ratios), row in zip(Group, result.k_rows, result.rows):
         span = (first, first + len(ratios))
-        text = _span_text(axis_text, group, span, lambda _: ratios)
-        fields.append(text[_type_rows(result.spec, group, index) - first])
+        text = _span_text(held, group, span, lambda _: ratios)
+        fields.append(text[row])
     fields += [
         _CASE_TEXT[result.case],
         _distinct_text(result.n_A),
@@ -450,24 +484,25 @@ def stream_sweep(
     min_Q, max_Q = math.inf, -math.inf
     last = None
     found = []
-    axis_text = {}
+    held = {}
     sink = contextlib.nullcontext() if out is None else replace_on_success(out)
     with sink as handle:
         if handle is not None:
             handle.write(SWEEP_CSV_HEADER)
         for start in range(0, math.prod(spec.shape), _SWEEP_BLOCK):
-            block = run_sweep(spec, start)
+            block = run_sweep(spec, start, held)
             if handle is not None:
-                write_sweep_csv(block, handle, axis_text)
+                write_sweep_csv(block, handle, held)
             rows += len(block.Q)
             skipped += len(block.skipped)
-            if len(block.Q) == 0:
-                continue
-            min_Q = min(min_Q, float(block.Q.min()))
-            max_Q = max(max_Q, float(block.Q.max()))
-            if direction is not None:
-                found.append(monotonicity_violations(block, direction, last))
-                last = (block.coordinates(block.solved[-1:])[0][0], block.Q[-1])
+            if len(block.Q):
+                min_Q = min(min_Q, float(block.Q.min()))
+                max_Q = max(max_Q, float(block.Q.max()))
+                if direction is not None:
+                    found.append(monotonicity_violations(block, direction, last))
+                    axis = spec.axes[0].values(block.index[0][-1:])[0]
+                    last = (axis, block.Q[-1])
+            del block  # so the next block is solved with only itself held
     if spec.axes[0].hi < spec.axes[0].lo:
         # Each block lists its violations along increasing axis value, so a
         # descending axis lists its blocks last to first.
@@ -506,7 +541,7 @@ def monotonicity_violations(
     higher `lo` down to a lower `hi` is read in reverse, so it gives the
     same verdict as the ascending sweep.
     """
-    axis = result.coordinates(result.solved)[0]
+    axis = result.spec.axes[0].values(result.index[0])
     Q = result.Q
     if previous is not None:
         axis = np.concatenate(([previous[0]], axis))

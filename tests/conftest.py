@@ -20,8 +20,9 @@ def whole_sweep():
     """A function solving every block of a sweep into one joined SweepResult.
 
     The program holds one block at a time; tests that compare a whole grid
-    with a reference join the blocks' columns here, and each receiver
-    type's k per row over all the blocks' rows.
+    with a reference join the blocks' columns here, each receiver type's k
+    per row over all the blocks' rows, and each solved cell's axis indices
+    and type rows, the latter counted from row 0.
     """
 
     def join_rows(k_rows):
@@ -33,11 +34,16 @@ def whole_sweep():
     def solve(spec):
         cells = math.prod(spec.shape)
         blocks = [run_sweep(spec, start) for start in range(0, cells, _SWEEP_BLOCK)]
-        columns = [field.name for field in dataclasses.fields(SweepResult)][1:-1]
+        columns = [field.name for field in dataclasses.fields(SweepResult)][1:-3]
         return SweepResult(
             spec,
             *(np.concatenate([getattr(b, name) for b in blocks]) for name in columns),
             k_rows=tuple(join_rows(rows) for rows in zip(*(b.k_rows for b in blocks))),
+            index=tuple(map(np.concatenate, zip(*(b.index for b in blocks)))),
+            rows=tuple(
+                np.concatenate([b.rows[g] + b.k_rows[g][0] for b in blocks])
+                for g in range(2)
+            ),
         )
 
     return solve

@@ -397,7 +397,8 @@ def test_csv_text_of_distinct_bits(tmp_path):
     )
     result = SweepResult(
         spec, solved, position[position % 7 == 3], **columns,
-        k_rows=((0, k_rows[0]), (0, k_rows[1])),
+        k_rows=((0, k_rows[0]), (0, k_rows[1])), index=(row_A, row_B),
+        rows=(row_A, row_B),
     )
 
     ours, theirs = tmp_path / "batch.csv", tmp_path / "reference.csv"
@@ -410,11 +411,14 @@ def test_csv_text_of_distinct_bits(tmp_path):
                 np.arange(start, min(start + _SWEEP_BLOCK, cells)), spec.shape
             )
             spans = [(int(i.min()), int(i.max()) + 1) for i in index]
+            solved_index = (row_A[block], row_B[block])
             write_sweep_csv(
                 SweepResult(
                     spec, solved[block], np.array([], dtype=int),
                     *(column[block] for column in columns.values()),
                     k_rows=tuple((lo, k[lo:hi]) for k, (lo, hi) in zip(k_rows, spans)),
+                    index=solved_index,
+                    rows=tuple(i - lo for i, (lo, _) in zip(solved_index, spans)),
                 ),
                 handle,
                 held,
@@ -476,8 +480,11 @@ def written_sweeps(draw):
         case=rng.integers(0, len(CASE_LABELS), len(solved)),
         **{name: rng.choice(pool, len(solved)) for name in ("n_A", "n_B", "Q")},
     )
+    solved_index = tuple(i[solved] for i in index)
+    solved_rows = tuple(r[solved] for r in rows)
     whole = SweepResult(spec, solved, position[~is_solved], **columns,
-                        k_rows=((0, k[0]), (0, k[1])))
+                        k_rows=((0, k[0]), (0, k[1])), index=solved_index,
+                        rows=solved_rows)
     edges = sorted(draw(st.sets(st.integers(1, cells), max_size=4)) - {cells})
     blocks = []
     for start, end in zip([0] + edges, edges + [cells]):
@@ -487,6 +494,8 @@ def written_sweeps(draw):
             spec, solved[part], position[start:end][~is_solved[start:end]],
             *(column[part] for column in columns.values()),
             k_rows=tuple((lo, ks[lo:hi]) for ks, (lo, hi) in zip(k, spans)),
+            index=tuple(i[part] for i in solved_index),
+            rows=tuple(r[part] - lo for r, (lo, _) in zip(solved_rows, spans)),
         ))
     return whole, blocks
 
@@ -509,6 +518,36 @@ def test_writer_matches_csv_writer(sweep, tmp_path_factory):
     theirs = tmp_path_factory.getbasetemp() / "writer-reference.csv"
     reference_csv(records_of(whole), theirs)
     assert ours.getvalue() == theirs.read_bytes()
+
+
+#: Populations on case boundaries, each in two closures: k_A = 1 > k_B = 0.5,
+#: k_A > 1 = k_B, k_A = 0 < k_B = 0.5, k_A < 0 = k_B, k_A = k_B = 0.5 and
+#: k_A = k_B = inf.
+BOUNDARY_ROWS = [
+    (0.5, 1.0, 1.0, 2.0, 0.5, 1.0, 1.5, 1.5),
+    (0.55, 0.45, 1.0, 2.0, 1.0, 1.0, 1.0, 3.0),
+    (0.0, 1.0, 0.0, 2.0, 0.5, 1.0, 1.5, 1.5),
+    (1.0, 0.1, 1.0, 2.0, 0.5, 0.5, 1.0, 1.0),
+    (0.0, 1.0, 1.0, 2.0, 0.5, 1.0, 1.5, 1.5),
+    (1.0, 0.5, 1.0, 2.0, 0.0, 1.0, 0.0, 2.0),
+]
+
+
+def test_block_mixing_boundary_and_interior_cells_matches_reference():
+    """Boundary cells send the whole block through the per-cell selection."""
+    rng = np.random.default_rng(7)
+    populations = [random_restricted_population(rng) for _ in range(200)]
+    for i, row in enumerate(BOUNDARY_ROWS):
+        populations.insert(37 * i, population_from_params(dict(zip(PARAM_NAMES, row))))
+    for row in BOUNDARY_ROWS:
+        k = reference_augmented(population_from_params(dict(zip(PARAM_NAMES, row))))
+        assert len(reference_candidates(k.k_A, k.k_B)) == 2
+    batch = solve_batch(
+        np.array([list(population_params(p).values()) for p in populations])
+    )
+    assert batch.solved.all()
+    for i, population in enumerate(populations):
+        assert batch.result(i) == reference_closed_form(population)
 
 
 def test_batch_matches_reference_on_random_populations():

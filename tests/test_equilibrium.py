@@ -248,6 +248,90 @@ class TestClosedForm:
             assert believes(result.strategy, pop) == (True, True)
 
 
+#: Ratios on and beside each case boundary: both zeros, 1, their
+#: neighbouring floats, and both infinities; pairs of equal ratios are
+#: on the k_A = k_B boundary.
+K_VALUES = [
+    -math.inf, -2.0, -5e-324, -0.0, 0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0),
+    1.0, math.nextafter(1.0, 2.0), 2.0, math.inf,
+]
+
+
+def closures(k_A, k_B):
+    """The cases whose closure holds at (k_A, k_B), from the table's inequalities."""
+    return [case for case, holds in enumerate([
+        k_A <= 0.0 and k_B <= 0.0,
+        0.0 <= k_A <= k_B,
+        0.0 <= k_A <= 1.0 and k_B <= k_A,
+        k_B <= 1.0 <= k_A,
+        1.0 <= k_B <= k_A,
+        k_A <= 0.0 <= k_B,
+    ]) if holds]
+
+
+class TestSolveCells:
+    """`solve_cells` skips gathers and selection when no cell is on a boundary."""
+
+    @pytest.fixture
+    def selections(self, monkeypatch):
+        """Believe every point, and count the blocks that ran a selection."""
+        ran = []
+        run_starts = equilibrium._run_starts
+
+        def counted(ids):
+            ran.append(len(ids))
+            return run_starts(ids)
+
+        def believe_all(strategy, pts):
+            return (np.ones(len(strategy[2]), dtype=bool),) * 2
+
+        monkeypatch.setattr(equilibrium, "_run_starts", counted)
+        monkeypatch.setattr(equilibrium, "believes", believe_all)
+        return ran
+
+    @pytest.mark.parametrize("k_A", K_VALUES)
+    def test_every_ratio_pair_in_a_closure(self, k_A, selections):
+        """No (k_A, k_B) falls outside every case, so M candidates mean no boundary.
+
+        Solved alone, each cell selects only when it is in several closures;
+        solved among cells in one closure each, the block selects exactly
+        when it holds such a cell, and gives every cell its lone answer.
+        """
+        interior = [(k, kb) for k in K_VALUES for kb in K_VALUES
+                    if len(closures(k, kb)) == 1]
+        params = np.ones((8, len(interior) + 1))
+        for k_B in K_VALUES:
+            cases = closures(k_A, k_B)
+            assert cases
+            selections.clear()
+            alone = equilibrium.solve_cells(np.array([k_A]), np.array([k_B]), params[:, :1])
+            assert alone[0][0] in cases
+            assert bool(selections) == (len(cases) > 1)
+
+            selections.clear()
+            ks = np.array(interior + [(k_A, k_B)]).T
+            block = equilibrium.solve_cells(ks[0], ks[1], params)
+            assert bool(selections) == (len(cases) > 1)
+            for column, last in zip(block, alone):
+                assert column[-1] == last[0]
+            assert block[0][:-1].tolist() == [closures(*k)[0] for k in interior]
+
+    def test_one_candidate_block_raises_when_a_point_stays_unbelieved(
+        self, monkeypatch
+    ):
+        rows = random_restricted_params(np.random.default_rng(11), 64)
+        batch = equilibrium.solve_batch(rows)
+        assert all(len(closures(*k)) == 1 for k in zip(batch.k_A, batch.k_B))
+        def reject_row_5(strategy, pts):
+            bel_A, bel_B = believes(strategy, pts)
+            return bel_A & (pts[0] != rows[5, 0]), bel_B
+
+        monkeypatch.setattr(equilibrium, "believes", reject_row_5)
+        with pytest.raises(NoFeasibleEncoding, match="no analytic candidate"):
+            equilibrium.solve_batch(rows)
+        assert equilibrium.solve_batch(np.delete(rows, 5, axis=0)).solved.all()
+
+
 class TestLpOracle:
     def test_matches_closed_form_on_balanced(self, balanced_population):
         closed = closed_form_equilibrium(balanced_population)

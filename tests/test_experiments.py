@@ -16,6 +16,7 @@ from identity_channel.experiments import (
     NonBelievingReceiver,
     SweepAxis,
     SweepSpec,
+    _type_rows,
     audit_monotonicity,
     expected_direction,
     monotonicity_violations,
@@ -26,6 +27,7 @@ from identity_channel.experiments import (
     write_sweep_csv,
 )
 from identity_channel.model import (
+    Group,
     IdentityProfile,
     Population,
     SenderStrategy,
@@ -116,6 +118,50 @@ class TestRunSweep:
         # delta_I_A in {3, 4} exceeds delta_O_A = 2 and must be skipped.
         assert len(result.skipped) == 2
         assert len(result.Q) == 3
+
+    @pytest.mark.parametrize(
+        "axes, simplex",
+        [
+            ((SweepAxis("delta_O_B", 0.0, 6.0, 2 * _SWEEP_BLOCK + 1234),), False),
+            ((SweepAxis("delta_O_A", 0.0, 6.0, 150),
+              SweepAxis("delta_O_B", 0.0, 6.0, 133)), False),
+            ((SweepAxis("lambda_s_A", 0.0, 2.0, 150),
+              SweepAxis("delta_O_A", 0.0, 6.0, 133)), False),
+            ((SweepAxis("lambda_a_A", -0.2, 1.2, 97),
+              SweepAxis("lambda_s_B", 0.0, 1.3, 211)), True),
+        ],
+        ids=["1-D", "one axis per type", "both axes one type", "simplex"],
+    )
+    def test_blocks_carry_cell_to_row_map(self, balanced_population, axes, simplex):
+        """Each block's axis indices and type rows are its solved cells' own.
+
+        Blocks solved with the rows held from the block before equal blocks
+        solved afresh.
+        """
+        spec = SweepSpec(balanced_population, axes, simplex)
+        cells = math.prod(spec.shape)
+        assert cells % _SWEEP_BLOCK  # the last block is cut short
+        held = {}
+        skipped = 0
+        for start in range(0, cells, _SWEEP_BLOCK):
+            block = run_sweep(spec, start, held)
+            skipped += len(block.skipped)
+            assert len(block.solved)
+            index = np.unravel_index(block.solved, spec.shape)
+            assert len(block.index) == len(index)
+            for carried, expected in zip(block.index, index):
+                np.testing.assert_array_equal(carried, expected)
+            for group, (first, k), rows, k_cells in zip(
+                Group, block.k_rows, block.rows, (block.k_A, block.k_B)
+            ):
+                np.testing.assert_array_equal(
+                    rows, _type_rows(spec, group, index) - first
+                )
+                assert k[rows].tobytes() == k_cells.tobytes()
+            fresh = run_sweep(spec, start)
+            for name in ("solved", "skipped", "k_A", "k_B", "case", "n_A", "n_B", "Q"):
+                assert getattr(block, name).tobytes() == getattr(fresh, name).tobytes()
+        assert skipped
 
     def test_row_major_and_deterministic_csv(
         self, balanced_population, tmp_path, whole_sweep
