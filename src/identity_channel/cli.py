@@ -233,7 +233,9 @@ def cmd_estimate(args) -> int:
     config = load_config(args.config)
     if config.estimator is None:
         raise UsageError("config is missing the 'estimator' block")
-    delta = _config_real("estimator", "delta", config.estimator.get("delta", 0.0))
+    if "delta" not in config.estimator:
+        raise UsageError("estimator block is missing 'delta'")
+    delta = _config_real("estimator", "delta", config.estimator["delta"])
     M = _config_real("estimator", "M", config.estimator.get("M", DEFAULT_SEARCH_BOUND))
     # Bisection announces m_A = m_B = 1, optimal only under the restriction.
     check_population(config.population, UNRESTRICTED)

@@ -1,9 +1,10 @@
 """Sender-optimal encoding: closed form and an independent LP oracle.
 
 Two code paths compute the same equilibrium, each over many populations
-at once as whole-array operations.  `solve_batch` evaluates the analytic
-case table on the augmented parameters (k_A, k_B) and is restricted to
-populations where the out-group penalty dominates the in-group penalty;
+at once as whole-array operations.  `solve_batch` gives each population
+the most informative encoding in the band of ratios that the augmented
+parameters (k_A, k_B) let both receiver types believe, and is restricted
+to populations where the out-group penalty dominates the in-group one;
 `closed_form_equilibrium` is its one-population case.  `lp_oracle_batch`
 solves the underlying four-variable linear program by enumerating all
 candidate vertices and needs no restriction; it exists as an independent
@@ -225,13 +226,6 @@ def _nudge(a, b, pts, bel_A, bel_B) -> np.ndarray:
     return bel_A & bel_B
 
 
-def _run_starts(ids: np.ndarray) -> np.ndarray:
-    """Mask of the first entry of each run of equal values in `ids`."""
-    starts = np.ones(len(ids), dtype=bool)
-    np.not_equal(ids[1:], ids[:-1], out=starts[1:])
-    return starts
-
-
 def solve_batch(params: np.ndarray) -> BatchEquilibrium:
     """Analytic equilibria of populations given as rows of their parameters.
 
@@ -268,79 +262,52 @@ def solve_cells(k_A, k_B, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     `k_A` and `k_B` are the populations' augmented ratios from `type_ratio`
     and `params` their eight parameters as (8, M) columns in `PARAM_NAMES`
-    order.  Each case of the table whose closure contains (k_A, k_B)
-    proposes an (n_A, n_B) point; boundary and infinite-parameter inputs
-    fall in several closures.  The candidates form one flat list of
-    (cell, case) pairs, cell-major, so each cell's candidates are
-    contiguous and in table order; a point is computed only for its own
-    case (`_believed_points`).  Within each cell's run of candidates the
-    believed point of maximal quality wins, the first in table order on
-    exact quality ties.  The closures cover every (k_A, k_B) that is not
-    NaN, so when there are M candidates, no cell is on a case boundary:
-    each cell's one candidate is its point, and the populations' columns
-    are used as given, with no gather and no selection.  Raises
-    NoFeasibleEncoding if a cell has no believed point.
+    order.  Both types believe the ratios n_B/n_A in the band
+    [max(k_B, 0), k_A], unbounded above where k_A <= 0.  Each cell takes
+    the band's ratio γ nearest 1, at (n_A, n_B) = (min(1, 1/γ), min(γ, 1)),
+    or the silent point (0, 0) where the band is empty.  Its `CASE_LABELS`
+    index is 1 where silent, else the first that holds of k_A, k_B <= 0
+    (0), k_A <= 0 (5), k_A <= 1 (2), k_B <= 1 (3), or 4.  A point on a
+    constraint boundary can round to a residual a few ulps below zero, so
+    the points a type rejects at the first test are backed off by `_nudge`.
+    Where k_B >= k_A >= 0 the silent point is in the cell's case closures
+    too: it replaces a point of cases 2 to 5 that stays unbelieved or ties
+    it at quality 2, if both types believe it.
+    Raises NoFeasibleEncoding if a cell has no believed point.
     """
-    if not len(k_A):
-        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0)
-    # Closure of each case in CASE_LABELS order, one row per cell, from the
-    # ten comparisons they share; its flat nonzero positions are the
-    # (cell, case) pairs, cell-major.
-    A_le0, A_ge0, A_le1, A_ge1 = k_A <= 0.0, k_A >= 0.0, k_A <= 1.0, k_A >= 1.0
-    B_le0, B_ge0, B_le1, B_ge1 = k_B <= 0.0, k_B >= 0.0, k_B <= 1.0, k_B >= 1.0
-    A_geB, B_geA = k_A >= k_B, k_B >= k_A
-    closure = np.column_stack([
-        A_le0 & B_le0,
-        B_geA & A_ge0,
-        A_ge0 & A_le1 & A_geB,
-        A_ge1 & B_le1,
-        A_geB & B_ge1,
-        B_ge0 & A_le0,
-    ])
-    candidates = np.flatnonzero(closure)
-    if len(candidates) == len(k_A):
-        case = candidates % len(CASE_LABELS)
-        a, b, ok = _believed_points(case, k_A, k_B, params)
-        if not ok.all():
-            raise NoFeasibleEncoding("no analytic candidate is feasible")
-        return case, a, b
-
-    cell, case = np.divmod(candidates, len(CASE_LABELS))
-    a, b, ok = _believed_points(
-        case, k_A[cell], k_B[cell], np.take(params, cell, axis=1)
+    hi = np.where(k_A <= 0.0, np.inf, k_A)
+    lo = np.maximum(k_B, 0.0)
+    silent = hi < lo
+    gamma = np.minimum(np.maximum(lo, 1.0), hi)
+    # Off the silent cells, k_B <= k_A where k_A > 0, so cases 2, 3 and 4
+    # are 2 plus the count of k_A and k_B above 1.
+    case = np.where(
+        silent, 1, np.where(k_A <= 0.0, 5 * (k_B > 0.0), 2 + (k_A > 1.0) + (k_B > 1.0))
     )
-    q = np.where(ok, 2.0 + a + b, -np.inf)
-    best = np.maximum.reduceat(q, np.flatnonzero(_run_starts(cell)))
-    if len(best) < len(k_A) or best.min() == -np.inf:
-        raise NoFeasibleEncoding("no analytic candidate is feasible")
-    (top,) = np.nonzero(q == best[cell])
-    win = top[_run_starts(cell[top])]
-    return case[win], a[win], b[win]
-
-
-def _believed_points(case, k_A, k_B, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n_A, n_B, believed) of candidate points, one per entry of `case`.
-
-    `k_A`, `k_B` and the parameter columns `pts` are each candidate's.  The
-    point of a case is (1, 1), (0, 0), (1, k_A), (1, 1), (1/k_B, 1) or
-    (min(1, 1/k_B), 1), which is 1 at k_B = 0.  A point sitting exactly on
-    a constraint boundary can round to a residual a few ulps below zero,
-    so the points that a type rejects at the first test are backed off by
-    `_nudge`; `believed` says whether both types then believe each point.
-    """
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(case >= 4, np.minimum(1.0, 1.0 / k_B), case != 1)
-    b = np.where(case == 2, k_A, case != 1)
-    bel_A, bel_B = believes((1.0, 1.0, a, b), pts)
-    ok = bel_A & bel_B
-    (rejected,) = np.nonzero(~ok)
-    if len(rejected):
-        a_r, b_r = a[rejected], b[rejected]
-        ok[rejected] = _nudge(
-            a_r, b_r, pts[:, rejected], bel_A[rejected], bel_B[rejected]
+    # Overflowing rows round their residuals to inf or NaN, and are
+    # rejected by the comparisons without a warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a = np.where(silent, 0.0, np.minimum(1.0, 1.0 / gamma))
+        b = np.where(silent, 0.0, np.minimum(gamma, 1.0))
+        bel_A, bel_B = believes((1.0, 1.0, a, b), params)
+        ok = bel_A & bel_B
+        (rejected,) = np.nonzero(~ok)
+        if len(rejected):
+            a_r, b_r = a[rejected], b[rejected]
+            ok[rejected] = _nudge(
+                a_r, b_r, params[:, rejected], bel_A[rejected], bel_B[rejected]
+            )
+            a[rejected], b[rejected] = a_r, b_r
+        (quiet,) = np.nonzero(
+            (k_B >= k_A) & (k_A >= 0.0) & (case > 1) & (~ok | (2.0 + a + b == 2.0))
         )
-        a[rejected], b[rejected] = a_r, b_r
-    return a, b, ok
+        if len(quiet):
+            bel_A, bel_B = believes((1.0, 1.0, 0.0, 0.0), params[:, quiet])
+            quiet = quiet[bel_A & bel_B]
+            case[quiet], a[quiet], b[quiet], ok[quiet] = 1, 0.0, 0.0, True
+    if not ok.all():
+        raise NoFeasibleEncoding("no analytic candidate is feasible")
+    return case, a, b
 
 
 def _row(population: Population) -> np.ndarray:
@@ -352,7 +319,8 @@ def closed_form_equilibrium(population: Population) -> EquilibriumResult:
     """Analytic equilibrium encoding under the penalty-ordering restriction.
 
     The one-population case of `solve_batch`, or its `raise_for_status`
-    error: m_A = m_B = 1, with (n_A, n_B) from the case table on (k_A, k_B).
+    error: m_A = m_B = 1, with (n_A, n_B) the band point of (k_A, k_B)
+    that `solve_cells` gives.
     """
     row = _row(population)
     batch = solve_batch(row[None])

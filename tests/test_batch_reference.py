@@ -12,6 +12,7 @@ import hashlib
 import io
 import math
 import struct
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -25,6 +26,7 @@ from identity_channel.equilibrium import (
     EquilibriumResult,
     IndeterminateParams,
     NoFeasibleEncoding,
+    closed_form_equilibrium,
     random_restricted_population,
     solve_batch,
 )
@@ -40,6 +42,7 @@ from identity_channel.experiments import (
 )
 from identity_channel.model import (
     PARAM_NAMES,
+    DomainError,
     Group,
     SenderStrategy,
     population_from_params,
@@ -68,6 +71,8 @@ def reference_augmented(population):
         k_B = math.copysign(math.inf, num_B)
     else:
         raise IndeterminateParams("type B")
+    if math.isnan(k_A) or math.isnan(k_B):  # inf/inf: the products overflow
+        raise IndeterminateParams("inf/inf")
     return AugmentedParams(k_A=k_A, k_B=k_B)
 
 
@@ -534,7 +539,7 @@ BOUNDARY_ROWS = [
 
 
 def test_block_mixing_boundary_and_interior_cells_matches_reference():
-    """Boundary cells send the whole block through the per-cell selection."""
+    """Cells on a case boundary and interior cells in one block each match the reference."""
     rng = np.random.default_rng(7)
     populations = [random_restricted_population(rng) for _ in range(200)]
     for i, row in enumerate(BOUNDARY_ROWS):
@@ -559,3 +564,58 @@ def test_batch_matches_reference_on_random_populations():
     assert batch.solved.all()
     for i, population in enumerate(populations):
         assert batch.result(i) == reference_closed_form(population)
+
+
+MAX = sys.float_info.max
+
+#: Rows at the edges of `solve_cells`' band-point rule.  The first two have
+#: k_A = 0 (an identity weight times a penalty underflows), which needs
+#: its `k_A <= 0` test and its silent fallback.  The third overflows in its
+#: belief tests and has no believed point.
+PINNED_ROWS = {
+    "tiny-weights-c0": ((0, 5e-324, 0, 4, 1e-300, 5e-324, 0.25, 3),
+                        ("k_A<0,k_B<0", 1.0, 1.1102230246251565e-16)),
+    "silent-c1": ((0, 5e-324, 0.25, 3, 0, 0.5, 3, 4), ("k_B>k_A>0", 0.0, 0.0)),
+    "overflowing-infeasible": ((4, 4, 5e-324, MAX, 1.5, 0.1, MAX, MAX),
+                               NoFeasibleEncoding),
+    "nudged-c5": ((0, 5e-324, 0.5, 1, 0, 1e300, 3, 4),
+                  ("k_B>0>k_A", 0.0, 0.2500000000000001)),
+}
+
+#: Parameter values from 0 through the smallest subnormal and normal floats
+#: to 1e300 and the largest float.
+SPECIAL_VALUES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.25, 0.5, 1.0,
+                  1.5, 2.0, 3.0, 4.0, 1e300, MAX]
+
+
+def outcome(solve, row):
+    """`solve`'s result on the population of `row`, or its domain error's class."""
+    try:
+        return solve(population_from_params(dict(zip(PARAM_NAMES, row))))
+    except DomainError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("row, expected", PINNED_ROWS.values(), ids=PINNED_ROWS.keys())
+def test_pinned_boundary_rows_match_reference(row, expected):
+    ours = outcome(closed_form_equilibrium, row)
+    assert ours == outcome(reference_closed_form, row)
+    if isinstance(expected, type):
+        assert ours is expected
+    else:
+        assert (ours.case_label, ours.strategy.n_A, ours.strategy.n_B) == expected
+
+
+def test_special_value_rows_match_reference():
+    """Each row alone and all solved rows in one block give the reference's outcome."""
+    rows = np.random.default_rng(24).choice(SPECIAL_VALUES, (2400, 8))
+    rows[::2, 2:4].sort(axis=1)  # delta_O_A >= delta_I_A on every other row
+    rows[::2, 6:8].sort(axis=1)
+    expected = [outcome(reference_closed_form, row) for row in rows]
+    assert [outcome(closed_form_equilibrium, row) for row in rows] == expected
+    kinds = {e if isinstance(e, type) else "solved" for e in expected}
+    assert kinds == {"solved", AssumptionViolated, IndeterminateParams,
+                     NoFeasibleEncoding}
+    solved = [i for i, e in enumerate(expected) if not isinstance(e, type)]
+    batch = solve_batch(rows[solved])
+    assert [batch.result(j) for j in range(len(solved))] == [expected[i] for i in solved]

@@ -28,7 +28,31 @@ from identity_channel.equilibrium import (
 )
 from identity_channel.estimator import InvalidResolution
 from identity_channel.experiments import NonBelievingReceiver
-from identity_channel.model import DomainError
+from identity_channel.model import PARAM_NAMES, DomainError
+
+
+MAX = sys.float_info.max
+
+
+def population_block(*row):
+    """A config's population block from eight parameters in `PARAM_NAMES` order."""
+    return dict(zip(PARAM_NAMES, row))
+
+
+def run_cli_process(args, cwd=None):
+    """Run the CLI in a process of its own, to see its whole stderr.
+
+    NumPy warnings bypass `capsys`, so only a separate process shows
+    whether the CLI writes any.
+    """
+    src = os.path.dirname(os.path.dirname(identity_channel.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "identity_channel.cli", *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
 
 
 @pytest.fixture
@@ -348,17 +372,48 @@ class TestVerifyCommand:
         path.write_text(
             json.dumps({"population": dict(balanced_params, **dict(zip(names, type_A)))})
         )
-        src = os.path.dirname(os.path.dirname(identity_channel.__file__))
-        run = subprocess.run(
-            [sys.executable, "-m", "identity_channel.cli", "verify", "--config", str(path)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
+        run = run_cli_process(["verify", "--config", str(path)])
         assert run.returncode == EXIT_DOMAIN_ERROR
         assert run.stdout == ""
         assert len(run.stderr.splitlines()) == 1
         assert run.stderr.startswith("error: receiver type A overflows float64")
+
+
+@pytest.mark.parametrize(
+    "config, command, code, stderr",
+    [
+        (
+            {"population": population_block(
+                4, 4, 5e-324, MAX, 1.5, 0.1, MAX, MAX)},
+            ["equilibrium"],
+            EXIT_DOMAIN_ERROR,
+            "error: no analytic candidate is feasible\n",
+        ),
+        (
+            {
+                "population": population_block(
+                    1.43e-76, 1.31e78, 0, 4.53e170, 6.90e-132, 1.32e199, 0, 2.47e-93
+                ),
+                "sweep": {"axes": [{"name": "delta_O_A", "lo": 1e300,
+                                    "hi": 1.7e308, "resolution": 5}]},
+            },
+            ["sweep", "--out", "s.csv"],
+            EXIT_OK,
+            "",
+        ),
+    ],
+    ids=["equilibrium-infeasible", "sweep"],
+)
+def test_overflowing_belief_tests_write_no_warnings(
+    tmp_path, config, command, code, stderr
+):
+    # The closed form's belief residuals overflow to inf and NaN, which
+    # reject the points without NumPy warnings on stderr.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    run = run_cli_process([*command, "--config", str(path)], cwd=tmp_path)
+    assert run.returncode == code
+    assert run.stderr == stderr
 
 
 class TestEstimateCommand:
@@ -396,7 +451,11 @@ class TestEstimateCommand:
         )
         assert main(["estimate", "--config", str(path)]) == EXIT_DOMAIN_ERROR
 
+    #: A field value that removes the field from the estimator block.
+    MISSING = object()
+
     BAD_ESTIMATORS = {
+        "delta-missing": {"delta": MISSING},
         "delta-string": {"delta": "abc"},
         "delta-numeric-string": {"delta": "0.01"},
         "delta-list": {"delta": [1]},
@@ -420,6 +479,7 @@ class TestEstimateCommand:
         monkeypatch.setattr(GroundTruthOracle, "query", no_query)
         estimator = {"delta": 0.01, "M": 100}
         estimator.update(fields)
+        estimator = {k: v for k, v in estimator.items() if v is not self.MISSING}
         path = tmp_path / "c.json"
         path.write_text(
             json.dumps({"population": balanced_params, "estimator": estimator})

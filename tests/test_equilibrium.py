@@ -270,32 +270,23 @@ def closures(k_A, k_B):
 
 
 class TestSolveCells:
-    """`solve_cells` skips gathers and selection when no cell is on a boundary."""
+    """`solve_cells` gives each cell one point, a case whose closure holds."""
 
     @pytest.fixture
-    def selections(self, monkeypatch):
-        """Believe every point, and count the blocks that ran a selection."""
-        ran = []
-        run_starts = equilibrium._run_starts
-
-        def counted(ids):
-            ran.append(len(ids))
-            return run_starts(ids)
+    def believe_all(self, monkeypatch):
+        """Believe every point, so each cell keeps its band point."""
 
         def believe_all(strategy, pts):
             return (np.ones(len(strategy[2]), dtype=bool),) * 2
 
-        monkeypatch.setattr(equilibrium, "_run_starts", counted)
         monkeypatch.setattr(equilibrium, "believes", believe_all)
-        return ran
 
     @pytest.mark.parametrize("k_A", K_VALUES)
-    def test_every_ratio_pair_in_a_closure(self, k_A, selections):
-        """No (k_A, k_B) falls outside every case, so M candidates mean no boundary.
+    def test_every_ratio_pair_in_a_closure(self, k_A, believe_all):
+        """No (k_A, k_B) falls outside every case, and the cell's case is one of them.
 
-        Solved alone, each cell selects only when it is in several closures;
-        solved among cells in one closure each, the block selects exactly
-        when it holds such a cell, and gives every cell its lone answer.
+        A cell solved alone or among cells in one closure each gets the
+        same answer, and each interior cell gets its one case.
         """
         interior = [(k, kb) for k in K_VALUES for kb in K_VALUES
                     if len(closures(k, kb)) == 1]
@@ -303,15 +294,11 @@ class TestSolveCells:
         for k_B in K_VALUES:
             cases = closures(k_A, k_B)
             assert cases
-            selections.clear()
             alone = equilibrium.solve_cells(np.array([k_A]), np.array([k_B]), params[:, :1])
             assert alone[0][0] in cases
-            assert bool(selections) == (len(cases) > 1)
 
-            selections.clear()
             ks = np.array(interior + [(k_A, k_B)]).T
             block = equilibrium.solve_cells(ks[0], ks[1], params)
-            assert bool(selections) == (len(cases) > 1)
             for column, last in zip(block, alone):
                 assert column[-1] == last[0]
             assert block[0][:-1].tolist() == [closures(*k)[0] for k in interior]
