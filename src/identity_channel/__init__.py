@@ -28,7 +28,6 @@ from .experiments import (
     SweepAxis,
     SweepSpec,
     SweepSummary,
-    audit_monotonicity,
     expected_direction,
     monotonicity_violations,
     monte_carlo_accuracy,

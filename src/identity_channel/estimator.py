@@ -75,7 +75,6 @@ class EstimationResult:
     upper: float
     steps: int
     search_bound: float
-    brackets: tuple[tuple[float, float], ...] = ()
 
     @property
     def hit_upper_bound(self) -> bool:
@@ -110,23 +109,15 @@ def estimate_k(
     lower, upper = 0.0, float(M)
     eta = 1.0
     steps = 0
-    brackets = []
     while upper - lower >= delta:
-        n_B = min(1.0, eta)
-        n_A = min(1.0, 1.0 / eta)
-        believe = oracle.query(side, n_A, n_B)
-        if side is Group.A:
-            if believe:
-                lower = eta
-            else:
-                upper = eta
+        believe = oracle.query(side, min(1.0, 1.0 / eta), min(1.0, eta))
+        # A believes ratios up to k_A and B ratios from k_B up, so "believe"
+        # from A and "not" from B both put the parameter above the probe.
+        if bool(believe) == (side is Group.A):
+            lower = eta
         else:
-            if believe:
-                upper = eta
-            else:
-                lower = eta
+            upper = eta
         steps += 1
-        brackets.append((lower, upper))
         eta = (lower + upper) / 2.0
         if eta in (lower, upper):
             break
@@ -136,7 +127,6 @@ def estimate_k(
         upper=upper,
         steps=steps,
         search_bound=float(M),
-        brackets=tuple(brackets),
     )
 
 

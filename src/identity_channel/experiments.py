@@ -130,6 +130,8 @@ class SweepSpec:
     complementary weight of the same receiver type to one minus the swept
     value, so weight pairs stay on the unit simplex.  Such a sweep cannot
     take both weights of one type as axes: each would overwrite the other.
+    A grid's cells are numbered row-major as `np.intp`, so a grid cannot
+    hold more cells than that type counts.
     """
 
     base: Population
@@ -147,6 +149,9 @@ class SweepSpec:
                 f"a simplex-constrained sweep cannot take both {names[0]!r} "
                 f"and its complement {names[1]!r} as axes"
             )
+        cells = math.prod(self.shape)
+        if cells > np.iinfo(np.intp).max:
+            raise ValueError(f"a sweep grid of {cells} cells is too large to index")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -157,20 +162,18 @@ class SweepSpec:
 class SweepResult:
     """One block of a sweep's solved cells as columns, in row-major grid order.
 
-    `solved` and `skipped` are flat row-major positions in the grid of
-    `spec` (see `coordinates`).  The other arrays hold one entry per solved
-    cell, aligned with `solved`; `case` indexes `CASE_LABELS`.  Every encoding
-    has m_A = m_B = 1.  `k_rows` holds, for receiver types A and B, the
-    first of the type rows the block's cells use and k of each row from
-    there on (see `_type_rows`), whether or not a cell using it was solved.
-    `index` holds the solved cells' index along each axis and `rows` their
-    type rows for A and B, counted from that first row, so that the writer
-    and the audit need not work them out again from `solved`.
+    A solved cell is named by `index`, its index along each axis of `spec`
+    (see `SweepAxis.values`); `skipped` counts the block's cells that were
+    not solved.  The other arrays hold one entry per solved cell; `case`
+    indexes `CASE_LABELS`.  Every encoding has m_A = m_B = 1.  `k_rows`
+    holds, for receiver types A and B, the first of the type rows the
+    block's cells use and k of each row from there on (see `_type_rows`),
+    whether or not a cell using it was solved, and `rows` holds the solved
+    cells' type rows for A and B, counted from that first row.
     """
 
     spec: SweepSpec
-    solved: np.ndarray
-    skipped: np.ndarray
+    skipped: int
     k_A: np.ndarray
     k_B: np.ndarray
     case: np.ndarray
@@ -180,11 +183,6 @@ class SweepResult:
     k_rows: tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]
     index: tuple[np.ndarray, ...]
     rows: tuple[np.ndarray, np.ndarray]
-
-    def coordinates(self, positions: np.ndarray) -> list[np.ndarray]:
-        """Axis values at flat grid `positions`, one array per axis."""
-        index = np.unravel_index(positions, self.spec.shape)
-        return [axis.values(i) for axis, i in zip(self.spec.axes, index)]
 
 
 def _moving(spec: SweepSpec, group: Group) -> list[int]:
@@ -240,10 +238,10 @@ def run_sweep(spec: SweepSpec, start: int, held: dict | None = None) -> SweepRes
     status and k are computed once per type row in the block's range
     (`_type_rows`) by `type_ratio`; a cell takes its types' rows, and the
     cells whose types both have status 0 are solved at once by
-    `solve_cells`.  The others are skipped and reported by grid position:
-    a parameter is negative or not finite (e.g. a negative simplex
-    complement), a type violates the penalty-ordering restriction, or a
-    type's k is 0/0 or inf/inf.  `stream_sweep` runs every block of a grid.
+    `solve_cells`.  The others are skipped and counted: a parameter is
+    negative or not finite (e.g. a negative simplex complement), a type
+    violates the penalty-ordering restriction, or a type's k is 0/0 or
+    inf/inf.  `stream_sweep` runs every block of a grid.
 
     `held`, the dict `write_sweep_csv` takes, kept across the blocks of
     one sweep, keeps each type's parameters, status and k per type row
@@ -281,8 +279,8 @@ def run_sweep(spec: SweepSpec, start: int, held: dict | None = None) -> SweepRes
     k_A, k_B = (k[row] for (_, k), row in zip(k_rows, rows))
     case, n_A, n_B = solve_cells(k_A, k_B, cells.reshape(8, -1))
     return SweepResult(
-        spec, position[ok], position[~ok], k_A, k_B, case, n_A, n_B,
-        2.0 + n_A + n_B, tuple(k_rows), tuple(i[ok] for i in index), rows,
+        spec, len(ok) - len(k_A), k_A, k_B, case, n_A, n_B, 2.0 + n_A + n_B,
+        tuple(k_rows), tuple(i[ok] for i in index), rows,
     )
 
 
@@ -385,7 +383,7 @@ def write_sweep_csv(result: SweepResult, handle, held=None) -> None:
     cell's axis indices and type rows come from `result.index` and
     `result.rows`.
     """
-    if len(result.solved) == 0:
+    if len(result.Q) == 0:
         return
     if held is None:
         held = {}
@@ -397,7 +395,7 @@ def write_sweep_csv(result: SweepResult, handle, held=None) -> None:
         text = _span_text(held, k, span, lambda s: axis.values(np.arange(*s)))
         fields.append(text[i - span[0]])
     if len(fields) == 1:
-        fields.append(np.zeros(len(result.solved), dtype="S1"))
+        fields.append(np.zeros(len(result.Q), dtype="S1"))
     for group, (first, ratios), row in zip(Group, result.k_rows, result.rows):
         span = (first, first + len(ratios))
         text = _span_text(held, group, span, lambda _: ratios)
@@ -473,12 +471,13 @@ def stream_sweep(
 
     Each block of `_SWEEP_BLOCK` cells is solved by `run_sweep`, its rows
     written to the CSV at `out` (when given) by `write_sweep_csv`, and its
-    counts and Q range added to running totals.  With a `direction`, each
-    block is audited by `monotonicity_violations`, carrying the last solved
-    cell's axis value and Q across the block edge.  Only one block is held
-    at a time, so memory is bounded whatever the grid size.  The CSV is
-    written to a file beside `out` and moved onto it at the end, so a sweep
-    that fails part-way leaves no partial CSV.
+    solved and skipped cells counted and its Q range taken into running
+    totals.  With a `direction`, each block is audited by
+    `monotonicity_violations`, carrying the last solved cell's axis value
+    and Q across the block edge.  Only one block is held at a time, so
+    memory is bounded whatever the grid size.  The CSV is written to a file
+    beside `out` and moved onto it at the end, so a sweep that fails
+    part-way leaves no partial CSV.
     """
     rows = skipped = 0
     min_Q, max_Q = math.inf, -math.inf
@@ -494,7 +493,7 @@ def stream_sweep(
             if handle is not None:
                 write_sweep_csv(block, handle, held)
             rows += len(block.Q)
-            skipped += len(block.skipped)
+            skipped += block.skipped
             if len(block.Q):
                 min_Q = min(min_Q, float(block.Q.min()))
                 max_Q = max(max_Q, float(block.Q.max()))
@@ -514,15 +513,6 @@ def stream_sweep(
         max_Q if rows else None,
         tuple(itertools.chain(*found)) if direction is not None else None,
     )
-
-
-def audit_monotonicity(
-    spec: SweepSpec, axis: str, direction: Direction
-) -> tuple[MonotonicityViolation, ...]:
-    """Run a 1-D sweep along `axis` and check it with `monotonicity_violations`."""
-    if len(spec.axes) != 1 or spec.axes[0].name != axis:
-        raise ValueError(f"spec must be a 1-D sweep along {axis!r}")
-    return stream_sweep(spec, direction=direction).violations
 
 
 def monotonicity_violations(

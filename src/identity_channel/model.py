@@ -73,9 +73,6 @@ class Population:
     profile_A: IdentityProfile
     profile_B: IdentityProfile
 
-    def profile(self, group: Group) -> IdentityProfile:
-        return self.profile_A if group is Group.A else self.profile_B
-
 
 def population_from_params(params: Mapping[str, float]) -> Population:
     """Build a population from the eight canonical parameter names."""

@@ -33,12 +33,6 @@ class BeliefResiduals:
     g_B_a: float
     g_B_b: float
 
-    def for_group(self, group: Group) -> tuple[float, float]:
-        """(a-message residual, b-message residual) for one receiver type."""
-        if group is Group.A:
-            return self.g_A_a, self.g_A_b
-        return self.g_B_a, self.g_B_b
-
 
 def belief_residuals(strategy, population) -> BeliefResiduals:
     """Residuals of a strategy under a population.
@@ -78,10 +72,11 @@ def best_response(
     Believe a message iff its residual is >= 0; the comparison is exact and
     ties resolve to believing.
     """
-    res_a, res_b = belief_residuals(strategy, population).for_group(theta_bar)
+    res = belief_residuals(strategy, population)
+    a, b = (res.g_A_a, res.g_A_b) if theta_bar is Group.A else (res.g_B_a, res.g_B_b)
     return ReceiverStrategy(
-        p=1.0 if res_a >= 0.0 else 0.0,
-        q=1.0 if res_b >= 0.0 else 0.0,
+        p=1.0 if a >= 0.0 else 0.0,
+        q=1.0 if b >= 0.0 else 0.0,
     )
 
 

@@ -5,7 +5,6 @@ in-group penalties of 1 for both types, and out-group penalties of 2 (A)
 and 3.5 (B); they differ only in the type-B weights.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -20,9 +19,9 @@ def whole_sweep():
     """A function solving every block of a sweep into one joined SweepResult.
 
     The program holds one block at a time; tests that compare a whole grid
-    with a reference join the blocks' columns here, each receiver type's k
-    per row over all the blocks' rows, and each solved cell's axis indices
-    and type rows, the latter counted from row 0.
+    with a reference join the blocks' columns and skip counts here, each
+    receiver type's k per row over all the blocks' rows, and each solved
+    cell's axis indices and type rows, the latter counted from row 0.
     """
 
     def join_rows(k_rows):
@@ -34,10 +33,13 @@ def whole_sweep():
     def solve(spec):
         cells = math.prod(spec.shape)
         blocks = [run_sweep(spec, start) for start in range(0, cells, _SWEEP_BLOCK)]
-        columns = [field.name for field in dataclasses.fields(SweepResult)][1:-3]
         return SweepResult(
             spec,
-            *(np.concatenate([getattr(b, name) for b in blocks]) for name in columns),
+            sum(b.skipped for b in blocks),
+            *(
+                np.concatenate([getattr(b, name) for b in blocks])
+                for name in ("k_A", "k_B", "case", "n_A", "n_B", "Q")
+            ),
             k_rows=tuple(join_rows(rows) for rows in zip(*(b.k_rows for b in blocks))),
             index=tuple(map(np.concatenate, zip(*(b.index for b in blocks)))),
             rows=tuple(

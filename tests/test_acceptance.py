@@ -34,9 +34,9 @@ from identity_channel.experiments import (
     Direction,
     SweepAxis,
     SweepSpec,
-    audit_monotonicity,
     monte_carlo_accuracy,
     run_sweep,
+    stream_sweep,
 )
 from identity_channel.model import Group, population_from_params, quality
 from identity_channel.receiver import believes
@@ -153,7 +153,7 @@ class TestAcceptance:
             base = population_from_params(params)
             for axis, lo, hi, direction in axis_plans:
                 spec = SweepSpec(base=base, axes=(SweepAxis(axis, lo, hi, 201),))
-                violations = audit_monotonicity(spec, axis, direction)
+                violations = stream_sweep(spec, direction=direction).violations
                 if violations:
                     worst = max(
                         violations,
@@ -174,7 +174,7 @@ class TestAcceptance:
             ),
         )
         result = whole_sweep(spec)
-        axis1, axis2 = result.coordinates(result.solved)
+        axis1, axis2 = (a.values(i) for a, i in zip(spec.axes, result.index))
 
         def cell_Q(ls, la):
             return float(result.Q[np.argmin(abs(axis1 - ls) + abs(axis2 - la))])

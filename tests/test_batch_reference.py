@@ -113,8 +113,7 @@ def reference_nudge(n_A, n_B, population):
 
 
 def reference_closed_form(population):
-    for group in Group:
-        profile = population.profile(group)
+    for group, profile in zip(Group, (population.profile_A, population.profile_B)):
         if profile.out_group_penalty < profile.in_group_penalty:
             raise AssumptionViolated(group.value)
     params = reference_augmented(population)
@@ -144,16 +143,20 @@ def linspace(axis):
 
 
 def reference_sweep(spec):
-    """Records, skipped cells and skip reasons, one cell at a time."""
+    """Records, solved and skipped cells' axis indices, and skip reasons.
+
+    Cells are solved one at a time in row-major order.
+    """
     axis2 = spec.axes[1] if len(spec.axes) == 2 else None
-    records, skipped, reasons = [], [], set()
-    for v1 in linspace(spec.axes[0]):
-        for v2 in linspace(axis2) if axis2 is not None else [None]:
+    records, solved, skipped, reasons = [], [], [], set()
+    for i1, v1 in enumerate(linspace(spec.axes[0])):
+        for i2, v2 in enumerate(linspace(axis2) if axis2 is not None else [None]):
+            cell = (i1, i2)[: len(spec.axes)]
             params = population_params(spec.base)
-            cell = [(spec.axes[0].name, float(v1))]
+            values = [(spec.axes[0].name, float(v1))]
             if axis2 is not None:
-                cell.append((axis2.name, float(v2)))
-            for name, value in cell:
+                values.append((axis2.name, float(v2)))
+            for name, value in values:
                 params[name] = value
                 if spec.simplex_constrained and name in _COMPLEMENT:
                     params[_COMPLEMENT[name]] = 1.0 - value
@@ -161,32 +164,32 @@ def reference_sweep(spec):
             try:
                 result = reference_closed_form(population_from_params(params))
             except ValueError as exc:
-                skipped.append((float(v1), v2))
+                skipped.append(cell)
                 reasons.add(type(exc).__name__)
                 continue
+            solved.append(cell)
             records.append(Record(
                 float(v1), v2, result.params.k_A, result.params.k_B,
                 result.case_label, result.strategy.n_A, result.strategy.n_B,
                 result.quality,
             ))
-    return records, skipped, reasons
-
-
-def cells_of(result, positions):
-    """(axis1, axis2) of each grid position, axis2 None on a 1-D sweep."""
-    coords = [c.tolist() for c in result.coordinates(positions)]
-    if len(coords) == 1:
-        coords.append([None] * len(positions))
-    return list(zip(*coords))
+    return records, solved, skipped, reasons
 
 
 def records_of(result):
-    """The result's columns as one Record per solved cell."""
+    """The result's columns as one Record per solved cell.
+
+    Each cell's axis values come from its axis indices; axis2 is None on a
+    1-D sweep.
+    """
+    coords = [a.values(i).tolist() for a, i in zip(result.spec.axes, result.index)]
+    if len(coords) == 1:
+        coords.append([None] * len(result.Q))
     labels = [CASE_LABELS[c] for c in result.case.tolist()]
     k_A, k_B, n_A, n_B, Q = (
         c.tolist() for c in (result.k_A, result.k_B, result.n_A, result.n_B, result.Q)
     )
-    cells = cells_of(result, result.solved)
+    cells = zip(*coords)
     return [
         Record(*cell, *fields)
         for cell, *fields in zip(cells, k_A, k_B, labels, n_A, n_B, Q)
@@ -329,11 +332,12 @@ def test_sweep_csv_digest(name, tmp_path):
 def test_sweep_matches_reference(name, tmp_path, whole_sweep):
     overrides, axes, simplex, features = GRIDS[name]
     spec = spec_of(overrides, axes, simplex)
-    expected, skipped, reasons = reference_sweep(spec)
+    expected, solved, skipped, reasons = reference_sweep(spec)
     result = whole_sweep(spec)
     records = records_of(result)
     assert records == expected
-    assert cells_of(result, result.skipped) == skipped
+    assert list(zip(*(i.tolist() for i in result.index))) == solved
+    assert result.skipped == len(skipped)
 
     seen = reasons | {rec.case for rec in records}
     for feature, holds in {
@@ -350,9 +354,9 @@ def test_sweep_matches_reference(name, tmp_path, whole_sweep):
         seen.add("-0")
     if len(axes) == 1:
         seen.add("1-D")
-    if len(records) + len(result.skipped) > _SWEEP_BLOCK:
+    if len(records) + result.skipped > _SWEEP_BLOCK:
         seen.add("several blocks")
-    if np.isin(np.arange(_SWEEP_BLOCK), result.skipped).all():
+    if np.ravel_multi_index(result.index, spec.shape).min() >= _SWEEP_BLOCK:
         seen.add("first block skipped")
     assert features <= seen
 
@@ -401,7 +405,7 @@ def test_csv_text_of_distinct_bits(tmp_path):
         n_A=values[i // 2 % 8], n_B=values[i // 3 % 8], Q=values[i // 5 % 8],
     )
     result = SweepResult(
-        spec, solved, position[position % 7 == 3], **columns,
+        spec, len(position) - len(solved), **columns,
         k_rows=((0, k_rows[0]), (0, k_rows[1])), index=(row_A, row_B),
         rows=(row_A, row_B),
     )
@@ -419,8 +423,7 @@ def test_csv_text_of_distinct_bits(tmp_path):
             solved_index = (row_A[block], row_B[block])
             write_sweep_csv(
                 SweepResult(
-                    spec, solved[block], np.array([], dtype=int),
-                    *(column[block] for column in columns.values()),
+                    spec, 0, *(column[block] for column in columns.values()),
                     k_rows=tuple((lo, k[lo:hi]) for k, (lo, hi) in zip(k_rows, spans)),
                     index=solved_index,
                     rows=tuple(i - lo for i, (lo, _) in zip(solved_index, spans)),
@@ -487,7 +490,7 @@ def written_sweeps(draw):
     )
     solved_index = tuple(i[solved] for i in index)
     solved_rows = tuple(r[solved] for r in rows)
-    whole = SweepResult(spec, solved, position[~is_solved], **columns,
+    whole = SweepResult(spec, cells - len(solved), **columns,
                         k_rows=((0, k[0]), (0, k[1])), index=solved_index,
                         rows=solved_rows)
     edges = sorted(draw(st.sets(st.integers(1, cells), max_size=4)) - {cells})
@@ -496,7 +499,7 @@ def written_sweeps(draw):
         part = (solved >= start) & (solved < end)
         spans = [(int(r[start:end].min()), int(r[start:end].max()) + 1) for r in rows]
         blocks.append(SweepResult(
-            spec, solved[part], position[start:end][~is_solved[start:end]],
+            spec, int((~is_solved[start:end]).sum()),
             *(column[part] for column in columns.values()),
             k_rows=tuple((lo, ks[lo:hi]) for ks, (lo, hi) in zip(k, spans)),
             index=tuple(i[part] for i in solved_index),

@@ -1,0 +1,47 @@
+"""The names the benchmark harness in `perfbench/` reaches into the package by.
+
+The harness traces the functions in `spans.TARGETS`, and its workloads read
+a few more names; a rename or deletion in the package would break
+`perfbench/run.py` without failing any other test.
+"""
+
+import importlib
+import json
+import math
+from pathlib import Path
+
+from identity_channel import cli, equilibrium, estimator, experiments
+from identity_channel.cli import EXIT_OK, main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_installs_on_every_target(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    original = experiments.run_sweep
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert experiments.run_sweep is not original
+    finally:
+        tracer.uninstall()
+    assert experiments.run_sweep is original
+
+
+def test_workload_names_resolve(balanced_population):
+    assert 2.0 <= equilibrium.full_lp_oracle(balanced_population).quality <= 4.0
+    assert callable(cli.strategy_from_estimates)
+    assert 1.0 < estimator.DEFAULT_SEARCH_BOUND < math.inf
+
+
+def test_sweep_report_counts_every_cell(capsys, tmp_path, balanced_params):
+    # The sweep workload checks that a job's rows and skipped cells add up
+    # to its grid.
+    axes = [{"name": "delta_I_A", "lo": 0.0, "hi": 4.0, "resolution": 5}]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"population": balanced_params, "sweep": {"axes": axes}}))
+    code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert (report["rows"], report["skipped"]) == (3, 2)

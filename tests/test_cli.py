@@ -656,6 +656,31 @@ class TestSweepCommand:
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "resolutions", [(10**18, 10**18), (10**20,)], ids=["two-axes", "one-axis"]
+    )
+    def test_grid_too_large_to_index_usage_error(
+        self, capsys, tmp_path, balanced_params, resolutions
+    ):
+        axes = [
+            {"name": name, "lo": 0.0, "hi": 6.0, "resolution": resolution}
+            for name, resolution in zip(("delta_O_A", "delta_O_B"), resolutions)
+        ]
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps({"population": balanced_params, "sweep": {"axes": axes}})
+        )
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert "too large" in captured.err
+        # Neither the CSV nor a temporary file beside it was made.
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     @pytest.mark.parametrize("names", [("lambda_s_A", "lambda_a_A"),
                                        ("lambda_a_B", "lambda_s_B")])
     def test_simplex_sweep_over_both_weights_of_one_type_rejected(
@@ -788,7 +813,7 @@ class TestSweepCommand:
             Direction,
             SweepAxis,
             SweepSpec,
-            audit_monotonicity,
+            stream_sweep,
         )
         from identity_channel.model import population_from_params
 
@@ -802,7 +827,7 @@ class TestSweepCommand:
         )
         expected = [
             {key: float(f"{value:.12g}") for key, value in vars(v).items()}
-            for v in audit_monotonicity(spec, "delta_O_B", Direction.NONDECREASING)
+            for v in stream_sweep(spec, direction=Direction.NONDECREASING).violations
         ]
         reports = []
         for lo, hi in ((1.0, 3.5), (3.5, 1.0)):

@@ -100,14 +100,36 @@ class TestEstimateK:
         assert res.k_hat < 0.01
 
     def test_bracket_monotone_and_contains_true_k(self, balanced_population):
-        oracle = GroundTruthOracle(balanced_population)
+        truth = GroundTruthOracle(balanced_population)
         true_k = augmented_params(balanced_population).k_A
-        res = estimate_k(oracle, Group.A, 1e-4, 1e4)
-        lowers = [b[0] for b in res.brackets]
-        uppers = [b[1] for b in res.brackets]
+        queries = []
+
+        class RecordingOracle:
+            def query(self, side, n_A, n_B):
+                answer = truth.query(side, n_A, n_B)
+                queries.append((n_A, n_B, answer))
+                return answer
+
+        res = estimate_k(RecordingOracle(), Group.A, 1e-4, 1e4)
+        # Rebuild each step's bracket from the answers: the first probe is
+        # 1, each next one the bracket's midpoint, and A's "believe" raises
+        # the lower end to the probe while "not" lowers the upper end.
+        lower, upper, eta = 0.0, 1e4, 1.0
+        brackets = []
+        for n_A, n_B, believe in queries:
+            assert (n_A, n_B) == (min(1.0, 1.0 / eta), min(1.0, eta))
+            if believe:
+                lower = eta
+            else:
+                upper = eta
+            brackets.append((lower, upper))
+            eta = (lower + upper) / 2.0
+        assert (lower, upper, len(queries)) == (res.lower, res.upper, res.steps)
+        lowers = [b[0] for b in brackets]
+        uppers = [b[1] for b in brackets]
         assert lowers == sorted(lowers)
         assert uppers == sorted(uppers, reverse=True)
-        for lo, up in res.brackets:
+        for lo, up in brackets:
             assert lo <= true_k <= up
 
     def test_step_bound_and_accuracy_random(self):

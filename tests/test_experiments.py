@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 import tracemalloc
 
@@ -17,7 +18,6 @@ from identity_channel.experiments import (
     SweepAxis,
     SweepSpec,
     _type_rows,
-    audit_monotonicity,
     expected_direction,
     monotonicity_violations,
     monte_carlo_accuracy,
@@ -104,8 +104,10 @@ class TestRunSweep:
         result = run_sweep(spec, 0)
         # The (0, 0) cell has a type-A receiver with no weights at all and
         # is skipped; every computed cell keeps at least half the quality.
-        assert len(result.Q) + len(result.skipped) == 121
-        assert list(zip(*result.coordinates(result.skipped))) == [(0.0, 0.0)]
+        assert len(result.Q) + result.skipped == 121
+        solved = set(zip(*(i.tolist() for i in result.index)))
+        (skipped,) = set(itertools.product(range(11), repeat=2)) - solved
+        assert [float(a.values(i)) for a, i in zip(spec.axes, skipped)] == [0.0, 0.0]
         for Q in result.Q:
             assert 2.0 - 1e-12 <= Q <= 4.0 + 1e-12
 
@@ -116,7 +118,7 @@ class TestRunSweep:
         )
         result = run_sweep(spec, 0)
         # delta_I_A in {3, 4} exceeds delta_O_A = 2 and must be skipped.
-        assert len(result.skipped) == 2
+        assert result.skipped == 2
         assert len(result.Q) == 3
 
     @pytest.mark.parametrize(
@@ -145,21 +147,28 @@ class TestRunSweep:
         skipped = 0
         for start in range(0, cells, _SWEEP_BLOCK):
             block = run_sweep(spec, start, held)
-            skipped += len(block.skipped)
-            assert len(block.solved)
-            index = np.unravel_index(block.solved, spec.shape)
-            assert len(block.index) == len(index)
-            for carried, expected in zip(block.index, index):
-                np.testing.assert_array_equal(carried, expected)
+            skipped += block.skipped
+            assert len(block.index) == len(spec.axes)
+            # The solved cells' grid positions: in the block, in order, and
+            # with the skipped cells making up the rest of the block.
+            position = np.ravel_multi_index(block.index, spec.shape)
+            assert len(position)
+            assert start <= position[0] and position[-1] < start + _SWEEP_BLOCK
+            assert (np.diff(position) > 0).all()
+            stop = min(start + _SWEEP_BLOCK, cells)
+            assert len(position) + block.skipped == stop - start
             for group, (first, k), rows, k_cells in zip(
                 Group, block.k_rows, block.rows, (block.k_A, block.k_B)
             ):
                 np.testing.assert_array_equal(
-                    rows, _type_rows(spec, group, index) - first
+                    rows, _type_rows(spec, group, block.index) - first
                 )
                 assert k[rows].tobytes() == k_cells.tobytes()
             fresh = run_sweep(spec, start)
-            for name in ("solved", "skipped", "k_A", "k_B", "case", "n_A", "n_B", "Q"):
+            assert block.skipped == fresh.skipped
+            for carried, expected in zip(block.index, fresh.index):
+                assert carried.tobytes() == expected.tobytes()
+            for name in ("k_A", "k_B", "case", "n_A", "n_B", "Q"):
                 assert getattr(block, name).tobytes() == getattr(fresh, name).tobytes()
         assert skipped
 
@@ -174,7 +183,7 @@ class TestRunSweep:
             ),
         )
         result = whole_sweep(spec)
-        firsts = result.coordinates(result.solved)[0].tolist()
+        firsts = spec.axes[0].values(result.index[0]).tolist()
         assert firsts == sorted(firsts)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         stream_sweep(spec, p1)
@@ -193,8 +202,22 @@ class TestRunSweep:
         result = run_sweep(spec, 0)
         # At lambda_s_A = 1 the complementary lambda_a_A becomes 0.
         assert len(result.Q) == 3
-        (axis1,) = result.coordinates(result.solved)
+        axis1 = spec.axes[0].values(result.index[0])
         assert axis1[-1] == 1.0
+
+    def test_grid_must_fit_an_index(self, balanced_population):
+        # A block's cells are numbered by grid position as np.intp.
+        top = np.iinfo(np.intp).max
+        one = (SweepAxis("delta_O_B", 1.0, 3.5, top),)
+        spec = SweepSpec(balanced_population, one)
+        assert len(run_sweep(spec, top - 3).Q) == 3
+        for axes in (
+            (SweepAxis("delta_O_B", 1.0, 3.5, top + 1),),
+            (SweepAxis("delta_O_A", 0.0, 6.0, 10**18),
+             SweepAxis("delta_O_B", 0.0, 6.0, 10**18)),
+        ):
+            with pytest.raises(ValueError, match="too large"):
+                SweepSpec(balanced_population, axes)
 
     @pytest.mark.parametrize(
         "names",
@@ -220,7 +243,7 @@ class TestRunSweep:
         result = run_sweep(
             SweepSpec(balanced_population, axes, simplex_constrained=True), 0
         )
-        assert len(result.Q) + len(result.skipped) == 9
+        assert len(result.Q) + result.skipped == 9
 
     def test_result_memory_bounded_per_cell(self, balanced_population):
         axes = (
@@ -236,12 +259,13 @@ class TestRunSweep:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # Columns hold 56 bytes per solved cell and 8 per skipped one; a
-        # Python object per cell would take several times that.
+        # Columns hold 80 bytes per solved cell (six values, two axis
+        # indices and two type rows) and none per skipped one; a Python
+        # object per cell would take several times that.
         assert retained <= 100 * _SWEEP_BLOCK
-        assert len(result.Q) + len(result.skipped) == _SWEEP_BLOCK
+        assert len(result.Q) + result.skipped == _SWEEP_BLOCK
         last = run_sweep(spec, 201 * 201 - 1)
-        assert len(last.Q) + len(last.skipped) == 1
+        assert len(last.Q) + last.skipped == 1
 
     def test_csv_writer_memory_bounded_in_rows(self, balanced_population, tmp_path):
         def peak_traced_bytes(resolution):
@@ -327,14 +351,14 @@ class TestAudit:
             base=balanced_population,
             axes=(SweepAxis("lambda_s_A", 0.0, 1.0, 101),),
         )
-        assert audit_monotonicity(spec, "lambda_s_A", Direction.NONINCREASING) == ()
+        assert stream_sweep(spec, direction=Direction.NONINCREASING).violations == ()
 
     def test_lambda_a_A_nondecreasing(self, balanced_population):
         spec = SweepSpec(
             base=balanced_population,
             axes=(SweepAxis("lambda_a_A", 0.0, 1.0, 101),),
         )
-        assert audit_monotonicity(spec, "lambda_a_A", Direction.NONDECREASING) == ()
+        assert stream_sweep(spec, direction=Direction.NONDECREASING).violations == ()
 
     def test_constant_plateau_passes_both_directions(self):
         profile = IdentityProfile(0.9, 0.05, 1.0, 2.0)
@@ -343,7 +367,7 @@ class TestAudit:
             base=pop, axes=(SweepAxis("lambda_a_A", 0.8, 1.0, 21),)
         )
         for direction in Direction:
-            assert audit_monotonicity(spec, "lambda_a_A", direction) == ()
+            assert stream_sweep(spec, direction=direction).violations == ()
 
     def test_violations_are_adjacent_solved_cells(self, balanced_population):
         # Q = 3 + 1/k_B falls along delta_O_B; each violation must name the
@@ -354,8 +378,8 @@ class TestAudit:
             axes=(SweepAxis("delta_O_B", 1.0, 3.5, 201),),
         )
         result = run_sweep(spec, 0)
-        (axis,) = result.coordinates(result.solved)
-        axis, Q = axis.tolist(), result.Q.tolist()
+        axis = spec.axes[0].values(result.index[0]).tolist()
+        Q = result.Q.tolist()
         expected = tuple(
             MonotonicityViolation(axis_lo, axis_hi, q_lo, q_hi)
             for axis_lo, axis_hi, q_lo, q_hi in zip(axis, axis[1:], Q, Q[1:])
@@ -364,7 +388,7 @@ class TestAudit:
         assert len(expected) == 5
         found = monotonicity_violations(result, Direction.NONDECREASING)
         assert found == expected
-        assert audit_monotonicity(spec, "delta_O_B", Direction.NONDECREASING) == found
+        assert stream_sweep(spec, direction=Direction.NONDECREASING).violations == found
 
     @pytest.mark.parametrize(
         "lo, hi, edge",
@@ -384,8 +408,8 @@ class TestAudit:
             axes=(SweepAxis("delta_O_B", lo, hi, 2 * _SWEEP_BLOCK + 5),),
         )
         result = whole_sweep(spec)
-        (axis,) = result.coordinates(result.solved)
-        axis, Q = axis.tolist(), result.Q.tolist()
+        axis = spec.axes[0].values(result.index[0]).tolist()
+        Q = result.Q.tolist()
         pairs = list(zip(axis, axis[1:], Q, Q[1:]))
         if hi < lo:  # judged along increasing axis value
             pairs = [(a_hi, a_lo, q_hi, q_lo) for a_lo, a_hi, q_lo, q_hi in pairs[::-1]]
@@ -393,7 +417,7 @@ class TestAudit:
             MonotonicityViolation(*pair) for pair in pairs if pair[3] - pair[2] < -1e-9
         )
         assert len(expected) > 100
-        found = audit_monotonicity(spec, "delta_O_B", Direction.NONDECREASING)
+        found = stream_sweep(spec, direction=Direction.NONDECREASING).violations
         assert found == expected
         if edge is not None:
             at_edge = sorted(axis[edge - 1 : edge + 1])
@@ -407,7 +431,7 @@ class TestAudit:
                 base=balanced_population,
                 axes=(SweepAxis(name, lo, hi, resolution),),
             )
-            return audit_monotonicity(spec, name, direction)
+            return stream_sweep(spec, direction=direction).violations
 
         down = Direction.NONINCREASING
         assert audit("lambda_s_B", 0.0, 1.0, 11, down) == ()
@@ -425,14 +449,6 @@ class TestAudit:
                 assert d.axis_lo < d.axis_hi and d.q_lo > d.q_hi
                 assert d.axis_lo == pytest.approx(a.axis_lo, abs=1e-12)
                 assert d.q_hi == pytest.approx(a.q_hi, abs=1e-12)
-
-    def test_axis_mismatch_rejected(self, balanced_population):
-        spec = SweepSpec(
-            base=balanced_population,
-            axes=(SweepAxis("lambda_s_A", 0.0, 1.0, 5),),
-        )
-        with pytest.raises(ValueError):
-            audit_monotonicity(spec, "lambda_a_A", Direction.NONDECREASING)
 
 
 class TestMonteCarlo:

@@ -30,7 +30,7 @@ def brute_force_derivative(strategy, population, theta_bar, message):
     utility advantage of believing over disbelieving, weighted by the
     joint probability of the message.
     """
-    profile = population.profile(theta_bar)
+    profile = population.profile_A if theta_bar is Group.A else population.profile_B
     total = 0.0
     for x in (0, 1):
         for theta in Group:
@@ -48,8 +48,8 @@ def brute_force_derivative(strategy, population, theta_bar, message):
 
 
 def residual_for(strategy, population, theta_bar, message):
-    res_a, res_b = belief_residuals(strategy, population).for_group(theta_bar)
-    return res_a if message == "a" else res_b
+    res = belief_residuals(strategy, population)
+    return getattr(res, f"g_{theta_bar.value}_{message}")
 
 
 class TestResiduals:
