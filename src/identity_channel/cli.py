@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from .equilibrium import (
+    MAX_TRIALS,
     UNRESTRICTED,
     check_equivalence,
     check_population,
@@ -146,49 +147,43 @@ def _print_report(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _printable_strategy(strategy, population):
-    """Round the lie probabilities to 12 significant digits, preserving belief.
+def _printable_strategy(strategy, population) -> tuple[dict, tuple[bool, bool]]:
+    """A report's m and n fields of `strategy`, and `believes` of what they print.
 
-    Nearest-rounding can cross a belief boundary (e.g. round 1/k_B up), so
-    when that happens the offending coordinate is dropped to the adjacent
-    12-digit value below; reports then round-trip through `believes`.
+    The lie probabilities are rounded to 12 significant digits.  Where that
+    crosses a belief boundary (e.g. rounds 1/k_B up), the offending
+    coordinate drops to the adjacent 12-digit value below, so the fields
+    keep each type's belief and round-trip through `believes`.
     """
     flags = believes(strategy, population)
 
     def variants(x):
-        r = float(f"{x:.12g}")
-        out = [r]
-        if r > 0.0:
-            out.append(max(0.0, r - 10.0 ** (math.floor(math.log10(r)) - 11)))
-        return out
+        r = _round12(x)
+        step = 10.0 ** (math.floor(math.log10(r)) - 11) if r > 0.0 else 0.0
+        return dict.fromkeys([r, max(0.0, r - step)])
 
-    for n_A in variants(strategy.n_A):
-        for n_B in variants(strategy.n_B):
-            cand = SenderStrategy(strategy.m_A, strategy.m_B, n_A, n_B)
-            if believes(cand, population) == flags:
-                return cand
-    return SenderStrategy(
-        strategy.m_A,
-        strategy.m_B,
-        float(f"{strategy.n_A:.12g}"),
-        float(f"{strategy.n_B:.12g}"),
-    )
+    candidates = [
+        SenderStrategy(strategy.m_A, strategy.m_B, n_A, n_B)
+        for n_A in variants(strategy.n_A)
+        for n_B in variants(strategy.n_B)
+    ]
+    # The nearest rounding is printed when no candidate keeps the belief.
+    for printed in [*candidates, candidates[0]]:
+        if (kept := believes(printed, population)) == flags:
+            break
+    return {name: _round12(value) for name, value in vars(printed).items()}, kept
 
 
 def cmd_equilibrium(args) -> int:
     config = load_config(args.config)
     result = closed_form_equilibrium(config.population)
-    strat = _printable_strategy(result.strategy, config.population)
-    bel_A, bel_B = believes(strat, config.population)
+    fields, (bel_A, bel_B) = _printable_strategy(result.strategy, config.population)
     _print_report(
         {
             "k_A": _round12(result.params.k_A),
             "k_B": _round12(result.params.k_B),
             "case": result.case_label,
-            "m_A": _round12(strat.m_A),
-            "m_B": _round12(strat.m_B),
-            "n_A": _round12(strat.n_A),
-            "n_B": _round12(strat.n_B),
+            **fields,
             "Q": _round12(result.quality),
             "believes_A": bel_A,
             "believes_B": bel_B,
@@ -205,8 +200,8 @@ def cmd_verify(args) -> int:
         report = compare_batch([list(population_params(population).values())])
     else:
         trials = 100 if args.trials is None else args.trials
-        if trials < 1:
-            raise UsageError(f"--trials must be >= 1, got {trials}")
+        if not 1 <= trials <= MAX_TRIALS:
+            raise UsageError(f"--trials must be in [1, {MAX_TRIALS}], got {trials}")
         report = check_equivalence(trials, args.seed or 0)
     _print_report(
         {
@@ -251,10 +246,7 @@ def cmd_estimate(args) -> int:
             "k_hat_B": _round12(res_B.k_hat),
             "steps_B": res_B.steps,
             "hit_upper_bound_B": res_B.hit_upper_bound,
-            "m_A": _round12(strat.m_A),
-            "m_B": _round12(strat.m_B),
-            "n_A": _round12(strat.n_A),
-            "n_B": _round12(strat.n_B),
+            **_printable_strategy(strat, config.population)[0],
             "Q": _round12(quality(strat)),
         }
     )

@@ -257,28 +257,41 @@ def solve_batch(params: np.ndarray) -> BatchEquilibrium:
     )
 
 
+def band_point(lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(silent, n_A, n_B): the most informative encoding in a band of ratios.
+
+    Both receiver types believe an encoding with m_A = m_B = 1 iff its
+    ratio n_B/n_A is in the band [lo, hi]: lo = max(k_B, 0), and hi = k_A,
+    or inf where type A believes every ratio.  Where hi < lo the band is
+    empty and the point is the silent (0, 0).  Elsewhere it is at the
+    band's ratio nearest 1, γ = min(max(lo, 1), hi), with the larger
+    coordinate 1: (n_A, n_B) = (1 / max(γ, 1), min(γ, 1)).  Unlike
+    min(1, 1/γ), this n_A is 1, not -inf, at γ = -0.0.  Takes floats or
+    arrays and returns arrays.
+    """
+    silent = np.less(hi, lo)
+    gamma = np.minimum(np.maximum(lo, 1.0), hi)
+    n_A = np.where(silent, 0.0, 1.0 / np.maximum(gamma, 1.0))
+    return silent, n_A, np.where(silent, 0.0, np.minimum(gamma, 1.0))
+
+
 def solve_cells(k_A, k_B, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(case, n_A, n_B) of M valid populations: the second stage of `solve_batch`.
 
     `k_A` and `k_B` are the populations' augmented ratios from `type_ratio`
     and `params` their eight parameters as (8, M) columns in `PARAM_NAMES`
-    order.  Both types believe the ratios n_B/n_A in the band
-    [max(k_B, 0), k_A], unbounded above where k_A <= 0.  Each cell takes
-    the band's ratio γ nearest 1, at (n_A, n_B) = (min(1, 1/γ), min(γ, 1)),
-    or the silent point (0, 0) where the band is empty.  Its `CASE_LABELS`
-    index is 1 where silent, else the first that holds of k_A, k_B <= 0
-    (0), k_A <= 0 (5), k_A <= 1 (2), k_B <= 1 (3), or 4.  A point on a
-    constraint boundary can round to a residual a few ulps below zero, so
-    the points a type rejects at the first test are backed off by `_nudge`.
+    order.  Each cell takes the `band_point` of [max(k_B, 0), k_A], the band
+    unbounded above where k_A <= 0.  Its `CASE_LABELS` index is 1 where
+    silent, else the first that holds of k_A, k_B <= 0 (0), k_A <= 0 (5),
+    k_A <= 1 (2), k_B <= 1 (3), or 4.  A point on a constraint boundary can
+    round to a residual a few ulps below zero, so the points a type rejects
+    at the first test are backed off by `_nudge`.
     Where k_B >= k_A >= 0 the silent point is in the cell's case closures
     too: it replaces a point of cases 2 to 5 that stays unbelieved or ties
     it at quality 2, if both types believe it.
     Raises NoFeasibleEncoding if a cell has no believed point.
     """
-    hi = np.where(k_A <= 0.0, np.inf, k_A)
-    lo = np.maximum(k_B, 0.0)
-    silent = hi < lo
-    gamma = np.minimum(np.maximum(lo, 1.0), hi)
+    silent, a, b = band_point(np.maximum(k_B, 0.0), np.where(k_A <= 0.0, np.inf, k_A))
     # Off the silent cells, k_B <= k_A where k_A > 0, so cases 2, 3 and 4
     # are 2 plus the count of k_A and k_B above 1.
     case = np.where(
@@ -286,9 +299,7 @@ def solve_cells(k_A, k_B, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
     # Overflowing rows round their residuals to inf or NaN, and are
     # rejected by the comparisons without a warning.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a = np.where(silent, 0.0, np.minimum(1.0, 1.0 / gamma))
-        b = np.where(silent, 0.0, np.minimum(gamma, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
         bel_A, bel_B = believes((1.0, 1.0, a, b), params)
         ok = bel_A & bel_B
         (rejected,) = np.nonzero(~ok)
@@ -505,8 +516,12 @@ def random_restricted_population(rng: np.random.Generator) -> Population:
     return population_from_params(dict(zip(PARAM_NAMES, row)))
 
 
+#: Most trials `check_equivalence` takes; `np.intp` indexes their (trials, 2, 4) draw.
+MAX_TRIALS = np.iinfo(np.intp).max // 8
+
+
 def check_equivalence(trials: int, seed: int) -> EquivalenceReport:
     """Compare closed form and LP oracle on random restricted populations."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     return compare_batch(random_restricted_params(np.random.default_rng(seed), trials))

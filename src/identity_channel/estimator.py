@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
+from .equilibrium import band_point
 from .model import DomainError, Group, Population, SenderStrategy
 from .receiver import believes
 
@@ -166,19 +167,9 @@ def strategy_from_estimates(k_hat_A: float, k_hat_B: float) -> SenderStrategy:
     pass `certified_estimates` for an encoding that is.  Negative inputs
     (which bisection never produces, but true parameters can be) denote a side
     that believes every encoding: for A that removes the upper ratio limit,
-    for B the lower one.  If the band is empty only the silent-on-bad-news
-    point (n_A, n_B) = (0, 0) is feasible; otherwise the ratio is the band
-    point closest to 1 and the larger coordinate is 1.
+    for B the lower one.  The encoding is the `band_point` of that band,
+    each coordinate below 1 lowered by the relative `_BOUNDARY_BIAS`.
     """
-    k_A = math.inf if k_hat_A < 0.0 else k_hat_A
-    k_B = 0.0 if k_hat_B < 0.0 else k_hat_B
-    if k_A < k_B:
-        return SenderStrategy(1.0, 1.0, 0.0, 0.0)
-    gamma = min(max(1.0, k_B), k_A)
-    if gamma <= 1.0:
-        n_A = 1.0
-        n_B = gamma if gamma == 1.0 else gamma * (1.0 - _BOUNDARY_BIAS)
-    else:
-        n_A = (1.0 / gamma) * (1.0 - _BOUNDARY_BIAS)
-        n_B = 1.0
+    point = band_point(max(k_hat_B, 0.0), math.inf if k_hat_A < 0.0 else k_hat_A)
+    n_A, n_B = (float(n * (1.0 - _BOUNDARY_BIAS) if n < 1.0 else n) for n in point[1:])
     return SenderStrategy(1.0, 1.0, n_A, n_B)

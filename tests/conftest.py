@@ -92,3 +92,13 @@ def balanced_population(balanced_params):
 @pytest.fixture(scope="session")
 def low_accuracy_population(low_accuracy_params):
     return population_from_params(low_accuracy_params)
+
+
+@pytest.fixture(scope="session")
+def special_k():
+    """Special values of an augmented parameter k, from both infinities
+    through the neighbours of 1."""
+    return [
+        -math.inf, -1.0, -0.0, 0.0, 5e-324, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52,
+        1e300, math.inf,
+    ]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import identity_channel
@@ -25,6 +26,7 @@ from identity_channel.equilibrium import (
     AssumptionViolated,
     IndeterminateParams,
     NoFeasibleEncoding,
+    random_restricted_params,
 )
 from identity_channel.estimator import InvalidResolution
 from identity_channel.experiments import NonBelievingReceiver
@@ -288,6 +290,15 @@ class TestVerifyCommand:
     def test_zero_trials_usage_error(self):
         assert main(["verify", "--trials", "0"]) == EXIT_USAGE
 
+    def test_trials_too_many_to_draw_usage_error(self, capsys):
+        # Rejected before the draw, so nothing is allocated.
+        assert main(["verify", "--trials", str(10**19)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: --trials must be in [1, {2**60 - 1}], got {10**19}\n"
+        )
+
     @pytest.mark.parametrize("seed", ["-1", "2.5"])
     def test_bad_seed_usage_error(self, seed):
         assert main(["verify", "--trials", "1", "--seed", seed]) == EXIT_USAGE
@@ -436,6 +447,28 @@ class TestEstimateCommand:
         )
         population = load_config(balanced_config).population
         assert believes(strat, population) == (True, True)
+
+    @pytest.mark.parametrize("rows", [[32], range(200)], ids=["row-32", "all-200"])
+    def test_printed_strategy_believed_at_fine_resolution(self, capsys, tmp_path, rows):
+        """At delta = 1e-12 a certified band point lies within one 12-digit
+        step of a belief boundary, and the printed strategy is still
+        believed by both types (row 32's n_A rounds up across B's)."""
+        from identity_channel.model import SenderStrategy
+        from identity_channel.receiver import believes
+
+        params = random_restricted_params(np.random.default_rng(2), 200)
+        path = tmp_path / "c.json"
+        for i in rows:
+            population = population_block(*params[i].tolist())
+            config = {"population": population, "estimator": {"delta": 1e-12}}
+            path.write_text(json.dumps(config))
+            code, report = run_json(capsys, ["estimate", "--config", str(path)])
+            assert code == EXIT_OK
+            strat = SenderStrategy(
+                report["m_A"], report["m_B"], report["n_A"], report["n_B"]
+            )
+            population = load_config(str(path)).population
+            assert believes(strat, population) == (True, True), i
 
     def test_missing_block(self, capsys, tmp_path, balanced_params):
         path = tmp_path / "c.json"

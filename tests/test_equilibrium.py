@@ -319,6 +319,48 @@ class TestSolveCells:
         assert equilibrium.solve_batch(np.delete(rows, 5, axis=0)).solved.all()
 
 
+class TestBandPoint:
+    """`band_point` on the bands that either caller can form."""
+
+    @staticmethod
+    def bits(*values):
+        return [float(v).hex() for v in values]
+
+    @pytest.mark.parametrize(
+        "lo, hi, point",
+        [
+            (0.0, math.inf, (False, 1.0, 1.0)),
+            (2.0, math.inf, (False, 0.5, 1.0)),
+            (0.0, 0.5, (False, 1.0, 0.5)),
+            (0.0, 0.0, (False, 1.0, 0.0)),
+            (0.0, -0.0, (False, 1.0, -0.0)),  # n_A is 1, not 1 / -0.0
+            (math.inf, math.inf, (False, 0.0, 1.0)),
+            (5e-324, 0.0, (True, 0.0, 0.0)),
+            (1.0, 1.0 - 2.0**-53, (True, 0.0, 0.0)),
+        ],
+    )
+    def test_pinned_points(self, lo, hi, point):
+        silent, n_A, n_B = equilibrium.band_point(lo, hi)
+        assert bool(silent) is point[0]
+        assert self.bits(n_A, n_B) == self.bits(*point[1:])
+
+    def test_special_values_elementwise(self, special_k):
+        """Arrays give each band the point it gets alone: silent exactly
+        where hi < lo, else the larger coordinate 1 and the other in [0, 1]."""
+        lo, hi = np.array(
+            [(max(k_B, 0.0), math.inf if k_A < 0.0 else k_A)
+             for k_A in special_k for k_B in special_k]
+        ).T
+        silent, n_A, n_B = equilibrium.band_point(lo, hi)
+        for i in range(len(lo)):
+            alone = equilibrium.band_point(lo[i], hi[i])
+            assert self.bits(*alone) == self.bits(silent[i], n_A[i], n_B[i])
+        assert (silent == (hi < lo)).all()
+        assert ((n_A == 0.0) & (n_B == 0.0) | ~silent).all()
+        assert (np.maximum(n_A, n_B) == 1.0)[~silent].all()
+        assert ((0.0 <= n_A) & (n_A <= 1.0) & (0.0 <= n_B) & (n_B <= 1.0)).all()
+
+
 class TestLpOracle:
     def test_matches_closed_form_on_balanced(self, balanced_population):
         closed = closed_form_equilibrium(balanced_population)

@@ -188,6 +188,35 @@ class TestStrategyFromEstimates:
         assert strat.n_B == 1.0
         assert strat.n_A == pytest.approx(0.5, rel=1e-9)
 
+    def test_special_values_pinned(self, special_k):
+        """Every pair of special values, bit for bit, -0.0 and signs included.
+
+        Row i holds k_hat_A = special_k[i]; its entries are (n_A, n_B) for
+        k_hat_B over `special_k`.  k_hat_A = -0.0 is not negative, so it
+        caps the band at ratio 0 and still gives n_A = 1.
+        """
+        one, silent = (1.0, 1.0), (0.0, 0.0)
+        near, tiny = (0.9999999999999898, 1.0), (9.9999999999999e-301, 1.0)
+        zero = (0.0, 1.0)
+        expected = [
+            [one] * 7 + [near, tiny, zero],
+            [one] * 7 + [near, tiny, zero],
+            [(1.0, -0.0)] * 4 + [silent] * 6,
+            [(1.0, 0.0)] * 4 + [silent] * 6,
+            [(1.0, 5e-324)] * 5 + [silent] * 5,
+            [(1.0, 0.9999999999999899)] * 6 + [silent] * 4,
+            [one] * 7 + [silent] * 3,
+            [one] * 7 + [near] + [silent] * 2,
+            [one] * 7 + [near, tiny, silent],
+            [one] * 7 + [near, tiny, zero],
+        ]
+        for k_hat_A, row in zip(special_k, expected):
+            for k_hat_B, point in zip(special_k, row):
+                strat = strategy_from_estimates(k_hat_A, k_hat_B)
+                assert (strat.m_A, strat.m_B) == (1.0, 1.0)
+                got = [strat.n_A.hex(), strat.n_B.hex()]
+                assert got == [v.hex() for v in point], (k_hat_A, k_hat_B)
+
     def test_true_params_believed(self):
         rng = np.random.default_rng(11)
         checked = 0
@@ -203,7 +232,7 @@ class TestStrategyFromEstimates:
             assert believes(strat, pop) == (True, True)
             checked += 1
 
-    @pytest.mark.parametrize("delta", [1e-2, 1e-4])
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-12])
     def test_certified_estimates_believed(self, delta):
         rng = np.random.default_rng(17)
         for _ in range(300):
