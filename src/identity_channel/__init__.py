@@ -39,12 +39,10 @@ from .experiments import (
 from .model import (
     PARAM_NAMES,
     Group,
-    IdentityProfile,
     Population,
     ReceiverStrategy,
     SenderStrategy,
     population_from_params,
-    population_params,
     quality,
 )
 from .receiver import BeliefResiduals, belief_residuals, believes, best_response

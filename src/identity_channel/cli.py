@@ -48,7 +48,6 @@ from .model import (
     Population,
     SenderStrategy,
     population_from_params,
-    population_params,
     quality,
 )
 from .receiver import believes
@@ -197,7 +196,7 @@ def cmd_verify(args) -> int:
         if args.trials is not None or args.seed is not None:
             raise UsageError("--trials and --seed do not apply with --config")
         population = load_config(args.config).population
-        report = compare_batch([list(population_params(population).values())])
+        report = compare_batch([list(population)])
     else:
         trials = 100 if args.trials is None else args.trials
         if not 1 <= trials <= MAX_TRIALS:

@@ -19,17 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    PARAM_NAMES,
-    DomainError,
-    Group,
-    IdentityProfile,
-    Population,
-    SenderStrategy,
-    population_from_params,
-    population_params,
-    quality,
-)
+from .model import DomainError, Group, Population, SenderStrategy, quality
 from .receiver import believes
 
 #: Each receiver type's four parameters within a row in `PARAM_NAMES` order.
@@ -117,13 +107,12 @@ def raise_for_status(row, status) -> None:
     """Raise the typed error of parameter row `row` for its (A, B) `status`.
 
     `status` comes from `type_ratio`, masked to the bits the caller checks.
-    The order is invalid parameters (`IdentityProfile`'s ValueError), the
+    The order is invalid parameters (`Population`'s ValueError), the
     restriction (AssumptionViolated), then k 0/0 or inf/inf
     (IndeterminateParams, its cause found from the row), type A first.
     """
-    for cols, bits in zip(_COLUMNS.values(), status):
-        if bits & INVALID:  # the constructor raises, naming the parameter
-            IdentityProfile(*row[cols].tolist())
+    if (status[0] | status[1]) & INVALID:  # the constructor raises, naming it
+        Population(*row.tolist())
     for group, bits in zip(_COLUMNS, status):
         if bits & UNRESTRICTED:
             raise AssumptionViolated(
@@ -323,7 +312,7 @@ def solve_cells(k_A, k_B, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _row(population: Population) -> np.ndarray:
     """The population's eight parameters in `PARAM_NAMES` order."""
-    return np.array(list(population_params(population).values()))
+    return np.array(list(population))
 
 
 def closed_form_equilibrium(population: Population) -> EquilibriumResult:
@@ -392,7 +381,9 @@ def lp_oracle_batch(params) -> np.ndarray:
     """
     p = np.asarray(params, dtype=float)
     out = np.full((len(p), 4), np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):  # silent on overflowing rows
+    # Silent on overflowing rows, and on subnormal ones whose determinants
+    # NumPy takes as the exp of a log of 0.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, len(p), _LP_BLOCK):
             _lp_block(p[start:start + _LP_BLOCK], out[start:start + _LP_BLOCK])
     return out
@@ -512,8 +503,7 @@ def random_restricted_params(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_restricted_population(rng: np.random.Generator) -> Population:
     """One population drawn as by `random_restricted_params`."""
-    row = random_restricted_params(rng, 1)[0]
-    return population_from_params(dict(zip(PARAM_NAMES, row)))
+    return Population(*random_restricted_params(rng, 1)[0].tolist())
 
 
 #: Most trials `check_equivalence` takes; `np.intp` indexes their (trials, 2, 4) draw.

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import CASE_LABELS, solve_cells, type_ratio
-from .model import (
-    PARAM_NAMES,
-    DomainError,
-    Group,
-    Population,
-    SenderStrategy,
-    population_params,
-)
+from .model import PARAM_NAMES, DomainError, Group, Population, SenderStrategy
 from .receiver import believes
 
 _AUDIT_TOL = 1e-9
@@ -110,7 +103,9 @@ class SweepAxis:
         lo, hi = float(self.lo), float(self.hi)
         step = (hi - lo) / div
         i = index.astype(np.float64)
-        value = (i * step if step != 0.0 else i / div * (hi - lo)) + lo
+        # i * step can overflow at the last index only, which is hi.
+        with np.errstate(over="ignore"):
+            value = (i * step if step != 0.0 else i / div * (hi - lo)) + lo
         return np.where(index == div, hi, value)
 
 
@@ -217,8 +212,8 @@ def _type_rows(spec: SweepSpec, group: Group, index) -> np.ndarray:
 def _type_params(spec: SweepSpec, group: Group, rows: np.ndarray) -> np.ndarray:
     """Receiver type `group`'s four parameters, as columns, at its `rows`."""
     names = [name for name in PARAM_NAMES if name.endswith(f"_{group.value}")]
-    base = population_params(spec.base)
-    params = np.repeat(np.array([base[name] for name in names])[:, None], len(rows), 1)
+    base = [getattr(spec.base, name) for name in names]
+    params = np.repeat(np.array(base)[:, None], len(rows), 1)
     moving = _moving(spec, group)
     index = np.unravel_index(rows, [spec.shape[k] for k in moving]) if moving else ()
     for k, i in zip(moving, index):

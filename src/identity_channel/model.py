@@ -14,19 +14,6 @@ import math
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-#: Canonical parameter names for a two-type population, used by config files
-#: and parameter sweeps.
-PARAM_NAMES = (
-    "lambda_a_A",
-    "lambda_s_A",
-    "delta_I_A",
-    "delta_O_A",
-    "lambda_a_B",
-    "lambda_s_B",
-    "delta_I_B",
-    "delta_O_B",
-)
-
 
 class DomainError(Exception):
     """Base of the typed errors for valid inputs outside a command's domain (exit 2)."""
@@ -45,33 +32,38 @@ def _check_prob(value: float, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class IdentityProfile:
-    """Behavioral parameters of one receiver type.
+class Population:
+    """The receiver population: each identity type's four parameters.
 
-    accuracy_weight and identity_weight scale the accuracy and status parts
-    of the utility; in_group_penalty is the status cost of believing the
-    in-group is in the bad state, out_group_penalty the cost of believing
-    the out-group is in the good state.
+    Per type: lambda_a and lambda_s weigh the accuracy and status parts of
+    the utility; delta_I is the status cost of believing the in-group is in
+    the bad state, delta_O that of believing the out-group is in the good
+    state.  A population iterates over its fields in order, so it unpacks
+    as its parameter row.
     """
 
-    accuracy_weight: float
-    identity_weight: float
-    in_group_penalty: float
-    out_group_penalty: float
+    lambda_a_A: float
+    lambda_s_A: float
+    delta_I_A: float
+    delta_O_A: float
+    lambda_a_B: float
+    lambda_s_B: float
+    delta_I_B: float
+    delta_O_B: float
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
+        for name in PARAM_NAMES:
+            value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{field.name} must be finite and >= 0, got {value!r}")
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+    def __iter__(self):
+        return (getattr(self, name) for name in PARAM_NAMES)
 
 
-@dataclass(frozen=True)
-class Population:
-    """The pair of receiver profiles, one per identity group."""
-
-    profile_A: IdentityProfile
-    profile_B: IdentityProfile
+#: The parameter names of a population in row order, used by config files
+#: and parameter sweeps.
+PARAM_NAMES = tuple(field.name for field in fields(Population))
 
 
 def population_from_params(params: Mapping[str, float]) -> Population:
@@ -83,35 +75,7 @@ def population_from_params(params: Mapping[str, float]) -> Population:
             f"population parameters must be exactly {PARAM_NAMES}; "
             f"missing={sorted(missing)} unknown={sorted(extra)}"
         )
-    return Population(
-        profile_A=IdentityProfile(
-            accuracy_weight=float(params["lambda_a_A"]),
-            identity_weight=float(params["lambda_s_A"]),
-            in_group_penalty=float(params["delta_I_A"]),
-            out_group_penalty=float(params["delta_O_A"]),
-        ),
-        profile_B=IdentityProfile(
-            accuracy_weight=float(params["lambda_a_B"]),
-            identity_weight=float(params["lambda_s_B"]),
-            in_group_penalty=float(params["delta_I_B"]),
-            out_group_penalty=float(params["delta_O_B"]),
-        ),
-    )
-
-
-def population_params(population: Population) -> dict[str, float]:
-    """Inverse of :func:`population_from_params`."""
-    a, b = population.profile_A, population.profile_B
-    return {
-        "lambda_a_A": a.accuracy_weight,
-        "lambda_s_A": a.identity_weight,
-        "delta_I_A": a.in_group_penalty,
-        "delta_O_A": a.out_group_penalty,
-        "lambda_a_B": b.accuracy_weight,
-        "lambda_s_B": b.identity_weight,
-        "delta_I_B": b.in_group_penalty,
-        "delta_O_B": b.out_group_penalty,
-    }
+    return Population(**{name: float(params[name]) for name in PARAM_NAMES})
 
 
 @dataclass(frozen=True)
@@ -155,28 +119,29 @@ def accuracy_utility(x: int, x_hat: int) -> float:
     return 1.0 if x == x_hat else 0.0
 
 
-def identity_utility(
-    x_hat: int, theta: Group, theta_bar: Group, profile: IdentityProfile
-) -> float:
+def identity_utility(x_hat: int, theta: Group, theta_bar: Group, params) -> float:
     """Status dis-utility of the estimate, independent of the true state.
 
-    Believing the in-group is in the bad state costs in_group_penalty;
-    believing the out-group is in the good state costs out_group_penalty.
+    `params` is the receiver type's (lambda_a, lambda_s, delta_I, delta_O).
+    Believing the in-group is in the bad state costs delta_I; believing the
+    out-group is in the good state costs delta_O.
     """
+    _, _, delta_I, delta_O = params
     if x_hat == 1 and theta is theta_bar:
-        return -profile.in_group_penalty
+        return -delta_I
     if x_hat == 0 and theta is not theta_bar:
-        return -profile.out_group_penalty
+        return -delta_O
     return 0.0
 
 
 def receiver_utility(
-    x: int, x_hat: int, theta: Group, theta_bar: Group, profile: IdentityProfile
+    x: int, x_hat: int, theta: Group, theta_bar: Group, params
 ) -> float:
-    """Accuracy-weight times accuracy plus identity-weight times status."""
-    return profile.accuracy_weight * accuracy_utility(
-        x, x_hat
-    ) + profile.identity_weight * identity_utility(x_hat, theta, theta_bar, profile)
+    """lambda_a times accuracy plus lambda_s times status, for the type's `params`."""
+    lambda_a, lambda_s, _, _ = params
+    return lambda_a * accuracy_utility(x, x_hat) + lambda_s * identity_utility(
+        x_hat, theta, theta_bar, params
+    )
 
 
 def quality(strategy: SenderStrategy) -> float:

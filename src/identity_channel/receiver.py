@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (
-    Group,
-    Population,
-    ReceiverStrategy,
-    SenderStrategy,
-    population_params,
-)
+from .model import Group, Population, ReceiverStrategy, SenderStrategy
 
 
 @dataclass(frozen=True)
@@ -39,13 +33,12 @@ def belief_residuals(strategy, population) -> BeliefResiduals:
 
     Either argument may instead be given as columns, which is how the batch
     solver tests many candidates at once: `strategy` as (m_A, m_B, n_A, n_B)
-    and `population` as its eight parameters in `PARAM_NAMES` order, each a
-    float or an array.  Arrays broadcast, and the residuals are then arrays.
+    and `population` as its eight parameters in `PARAM_NAMES` order (which a
+    `Population` unpacks as), each a float or an array.  Arrays broadcast,
+    and the residuals are then arrays.
     """
     if isinstance(strategy, SenderStrategy):
         strategy = (strategy.m_A, strategy.m_B, strategy.n_A, strategy.n_B)
-    if isinstance(population, Population):
-        population = population_params(population).values()
     m_A, m_B, n_A, n_B = strategy
     la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B = population
     acc = (m_A + m_B - 2.0) + (n_A + n_B)

@@ -46,25 +46,23 @@ from identity_channel.model import (
     Group,
     SenderStrategy,
     population_from_params,
-    population_params,
     quality,
 )
 from identity_channel.receiver import believes
 
 
 def reference_augmented(population):
-    pa = population.profile_A
-    num_A = pa.identity_weight * pa.in_group_penalty + pa.accuracy_weight
-    den_A = pa.identity_weight * pa.out_group_penalty - pa.accuracy_weight
+    p = population
+    num_A = p.lambda_s_A * p.delta_I_A + p.lambda_a_A
+    den_A = p.lambda_s_A * p.delta_O_A - p.lambda_a_A
     if den_A != 0.0:
         k_A = num_A / den_A
     elif num_A > 0.0:
         k_A = math.inf
     else:
         raise IndeterminateParams("type A")
-    pb = population.profile_B
-    num_B = pb.identity_weight * pb.out_group_penalty - pb.accuracy_weight
-    den_B = pb.identity_weight * pb.in_group_penalty + pb.accuracy_weight
+    num_B = p.lambda_s_B * p.delta_O_B - p.lambda_a_B
+    den_B = p.lambda_s_B * p.delta_I_B + p.lambda_a_B
     if den_B != 0.0:
         k_B = num_B / den_B
     elif num_B != 0.0:
@@ -113,8 +111,9 @@ def reference_nudge(n_A, n_B, population):
 
 
 def reference_closed_form(population):
-    for group, profile in zip(Group, (population.profile_A, population.profile_B)):
-        if profile.out_group_penalty < profile.in_group_penalty:
+    for group in Group:
+        g = group.value
+        if getattr(population, f"delta_O_{g}") < getattr(population, f"delta_I_{g}"):
             raise AssumptionViolated(group.value)
     params = reference_augmented(population)
     best = None
@@ -152,7 +151,7 @@ def reference_sweep(spec):
     for i1, v1 in enumerate(linspace(spec.axes[0])):
         for i2, v2 in enumerate(linspace(axis2) if axis2 is not None else [None]):
             cell = (i1, i2)[: len(spec.axes)]
-            params = population_params(spec.base)
+            params = dict(zip(PARAM_NAMES, spec.base))
             values = [(spec.axes[0].name, float(v1))]
             if axis2 is not None:
                 values.append((axis2.name, float(v2)))
@@ -551,7 +550,7 @@ def test_block_mixing_boundary_and_interior_cells_matches_reference():
         k = reference_augmented(population_from_params(dict(zip(PARAM_NAMES, row))))
         assert len(reference_candidates(k.k_A, k.k_B)) == 2
     batch = solve_batch(
-        np.array([list(population_params(p).values()) for p in populations])
+        np.array([list(p) for p in populations])
     )
     assert batch.solved.all()
     for i, population in enumerate(populations):
@@ -562,7 +561,7 @@ def test_batch_matches_reference_on_random_populations():
     rng = np.random.default_rng(2024)
     populations = [random_restricted_population(rng) for _ in range(2000)]
     batch = solve_batch(
-        np.array([list(population_params(p).values()) for p in populations])
+        np.array([list(p) for p in populations])
     )
     assert batch.solved.all()
     for i, population in enumerate(populations):

@@ -10,7 +10,7 @@ import json
 import math
 from pathlib import Path
 
-from identity_channel import cli, equilibrium, estimator, experiments
+from identity_channel import cli, equilibrium, estimator, experiments, model
 from identity_channel.cli import EXIT_OK, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -29,8 +29,12 @@ def test_tracer_installs_on_every_target(monkeypatch):
     assert experiments.run_sweep is original
 
 
-def test_workload_names_resolve(balanced_population):
+def test_workload_names_resolve(balanced_population, balanced_params):
     assert 2.0 <= equilibrium.full_lp_oracle(balanced_population).quality <= 4.0
+    # The sweep and simulate workloads check their results by this call.
+    cell = dict(balanced_params, delta_O_A=2.5, delta_O_B=3.0)
+    population = model.population_from_params(cell)
+    assert 2.0 <= equilibrium.full_lp_oracle(population).quality <= 4.0
     assert callable(cli.strategy_from_estimates)
     assert 1.0 < estimator.DEFAULT_SEARCH_BOUND < math.inf
 

@@ -139,8 +139,8 @@ class TestConfigLoading:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"population": params}))
         population = load_config(str(path)).population
-        assert population.profile_A.out_group_penalty == 2.0
-        assert isinstance(population.profile_A.out_group_penalty, float)
+        assert population.delta_O_A == 2.0
+        assert isinstance(population.delta_O_A, float)
 
     def test_missing_file(self):
         assert main(["equilibrium", "--config", "/nonexistent.json"]) == EXIT_USAGE
@@ -412,19 +412,107 @@ class TestVerifyCommand:
             EXIT_OK,
             "",
         ),
+        (
+            {"population": population_block(5e-324, 0, 0, 0, 0, 0, 0, 0)},
+            ["verify"],
+            EXIT_DOMAIN_ERROR,
+            "error: receiver type B has zero accuracy and identity weights\n",
+        ),
+        (
+            {
+                "population": population_block(0, 0, 0, 0, 0, 0, 0, 0),
+                "sweep": {"axes": [{"name": "lambda_a_A", "lo": 0, "hi": MAX,
+                                    "resolution": 7}],
+                          "simplex_constrained": True},
+            },
+            ["sweep", "--out", "s.csv"],
+            EXIT_OK,
+            "",
+        ),
     ],
-    ids=["equilibrium-infeasible", "sweep"],
+    ids=["equilibrium-infeasible", "sweep", "subnormal-lp-determinants",
+         "sweep-axis-to-max"],
 )
 def test_overflowing_belief_tests_write_no_warnings(
     tmp_path, config, command, code, stderr
 ):
     # The closed form's belief residuals overflow to inf and NaN, which
-    # reject the points without NumPy warnings on stderr.
+    # reject the points without NumPy warnings on stderr.  So do the LP
+    # oracle's determinants of a subnormal row, which NumPy takes as the
+    # exp of a log of 0, and the last value of an axis ending at the
+    # largest float, which overflows before it is replaced by hi.
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
     run = run_cli_process([*command, "--config", str(path)], cwd=tmp_path)
     assert run.returncode == code
     assert run.stderr == stderr
+
+
+def _axis(name):
+    return {"name": name, "lo": 0.5, "hi": 1.0, "resolution": 3}
+
+
+#: Config errors of each block, as (command, config of the population, message).
+CONFIG_ERRORS = {
+    "not-an-object": ("sweep", lambda p: [p], "config must be a JSON object"),
+    "no-population": (
+        "sweep",
+        lambda p: {"sweep": {"axes": [_axis("lambda_s_A")]}},
+        "config is missing the 'population' block",
+    ),
+    "negative-parameter": (
+        "sweep",
+        lambda p: {"population": dict(p, lambda_a_A=-1.0),
+                   "sweep": {"axes": [_axis("lambda_s_A")]}},
+        "bad population block: lambda_a_A must be finite and >= 0, got -1.0",
+    ),
+    "sweep-not-an-object": (
+        "sweep",
+        lambda p: {"population": p, "sweep": [_axis("lambda_s_A")]},
+        "config block 'sweep' must be a JSON object",
+    ),
+    "no-sweep": ("sweep", lambda p: {"population": p},
+                 "config is missing the 'sweep' block"),
+    "no-axes": ("sweep", lambda p: {"population": p, "sweep": {"axes": []}},
+                "sweep block must list one or two axes"),
+    "axis-not-an-object": (
+        "sweep",
+        lambda p: {"population": p, "sweep": {"axes": [["lambda_s_A", 0.5, 1.0, 3]]}},
+        "each sweep axis must be a JSON object",
+    ),
+    "no-simulate": ("simulate", lambda p: {"population": p},
+                    "config is missing the 'simulate' block"),
+    "three-axes": (
+        "sweep",
+        lambda p: {"population": p, "sweep": {"axes": [
+            _axis(name) for name in ("lambda_s_A", "delta_O_A", "delta_O_B")]}},
+        "a sweep takes one or two axes",
+    ),
+    "repeated-axis": (
+        "sweep",
+        lambda p: {"population": p,
+                   "sweep": {"axes": [_axis("delta_O_A"), _axis("delta_O_A")]}},
+        "sweep axes must be distinct",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, make_config, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys()
+)
+def test_config_error_exits_64_with_its_line_alone(
+    capsys, tmp_path, balanced_params, command, make_config, message
+):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(make_config(balanced_params)))
+    out = tmp_path / "out.csv"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+    # Neither the CSV nor a temporary file beside it was made.
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 class TestEstimateCommand:

@@ -24,10 +24,8 @@ from identity_channel.equilibrium import (
 )
 from identity_channel.model import (
     PARAM_NAMES,
-    IdentityProfile,
     Population,
     population_from_params,
-    population_params,
 )
 from identity_channel.receiver import belief_residuals, believes
 
@@ -92,10 +90,7 @@ def reference_lp_oracle(p):
 
 
 def make_population(la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B):
-    return Population(
-        IdentityProfile(la_A, ls_A, dI_A, dO_A),
-        IdentityProfile(la_B, ls_B, dI_B, dO_B),
-    )
+    return Population(la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B)
 
 
 class TestAugmentedParams:
@@ -402,7 +397,7 @@ class TestLpOracle:
                 method="highs",
             )
             assert highs.status in (0, 2), highs.message
-            rows.append(list(population_params(pop).values()))
+            rows.append(list(pop))
             highs_quality.append(-highs.fun if highs.status == 0 else np.nan)
         # The oracle's NaN rows are where `full_lp_oracle` raises.
         lp_quality = lp_oracle_batch(rows).sum(axis=1)
@@ -469,7 +464,7 @@ class TestEquivalence:
         assert report.coordinate_gap.max() <= 1e-9
 
     def test_compare_batch_single(self, balanced_population):
-        report = compare_batch([list(population_params(balanced_population).values())])
+        report = compare_batch([list(balanced_population)])
         assert report.quality_gap[0] <= 1e-9
         assert report.coordinate_gap[0] <= 1e-9
         assert report.ok
@@ -479,7 +474,17 @@ class TestEquivalence:
         rng = np.random.default_rng(5)
         for p in params:
             population = random_restricted_population(rng)
-            assert list(population_params(population).values()) == p.tolist()
+            assert list(population) == p.tolist()
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_invalid_row_raises_naming_its_parameter(self, value):
+        params = dict(BALANCED, lambda_s_B=value)
+        with pytest.raises(ValueError, match="^lambda_s_B must be finite and >= 0"):
+            compare_batch([row(params)])
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be in"):
+            check_equivalence(0, 0)
 
     def test_first_failing_row_raises_closed_form_error_first(self):
         params = np.array([row(BALANCED), row(WIDE_RANGE), row(UNRESTRICTED)])

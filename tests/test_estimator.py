@@ -82,20 +82,20 @@ class TestEstimateK:
             estimate_k(oracle, Group.B, 0.01, M)
 
     def test_always_believing_side_climbs_to_bound(self):
-        from identity_channel.model import IdentityProfile, Population
+        from identity_channel.model import Population
 
         # identity weight 0 gives k_A = -1 < 0: side A always believes.
-        profile = IdentityProfile(0.5, 0.0, 1.0, 2.0)
-        pop = Population(profile, profile)
+        profile = (0.5, 0.0, 1.0, 2.0)
+        pop = Population(*profile, *profile)
         res = estimate_k(GroundTruthOracle(pop), Group.A, 0.5, 100.0)
         assert res.k_hat > 100.0 - 0.5
         assert res.hit_upper_bound
 
     def test_never_lying_side_B_drops_to_zero(self):
-        from identity_channel.model import IdentityProfile, Population
+        from identity_channel.model import Population
 
-        profile = IdentityProfile(0.5, 0.0, 1.0, 2.0)
-        pop = Population(profile, profile)
+        profile = (0.5, 0.0, 1.0, 2.0)
+        pop = Population(*profile, *profile)
         res = estimate_k(GroundTruthOracle(pop), Group.B, 0.01, 1e4)
         assert res.k_hat < 0.01
 

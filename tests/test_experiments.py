@@ -4,7 +4,9 @@ import csv
 import io
 import itertools
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from identity_channel.experiments import (
 )
 from identity_channel.model import (
     Group,
-    IdentityProfile,
     Population,
     SenderStrategy,
     population_from_params,
@@ -61,6 +62,17 @@ class TestSweepAxis:
         assert axis.values(index).tobytes() == expected.tobytes()
         picked = index[::-3]
         assert axis.values(picked).tobytes() == expected[picked].tobytes()
+
+    def test_values_up_to_the_largest_float_do_not_warn(self):
+        # i * step overflows at the last index only, which is hi itself.
+        axis = SweepAxis("lambda_a_A", 0.0, sys.float_info.max, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = axis.values(np.arange(7))
+        with np.errstate(over="ignore"):
+            expected = np.linspace(0.0, sys.float_info.max, 7)
+        assert values.tobytes() == expected.tobytes()
+        assert np.isfinite(values).all()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -361,8 +373,8 @@ class TestAudit:
         assert stream_sweep(spec, direction=Direction.NONDECREASING).violations == ()
 
     def test_constant_plateau_passes_both_directions(self):
-        profile = IdentityProfile(0.9, 0.05, 1.0, 2.0)
-        pop = Population(profile, profile)
+        profile = (0.9, 0.05, 1.0, 2.0)
+        pop = Population(*profile, *profile)
         spec = SweepSpec(
             base=pop, axes=(SweepAxis("lambda_a_A", 0.8, 1.0, 21),)
         )
@@ -453,8 +465,8 @@ class TestAudit:
 
 class TestMonteCarlo:
     def test_noiseless_channel_exact(self):
-        profile = IdentityProfile(1.0, 0.0, 1.0, 2.0)
-        pop = Population(profile, profile)
+        profile = (1.0, 0.0, 1.0, 2.0)
+        pop = Population(*profile, *profile)
         acc, se = monte_carlo_accuracy(SenderStrategy(1, 1, 1, 1), pop, 5000, 0)
         assert acc == 1.0
         assert se == 0.0
@@ -462,8 +474,8 @@ class TestMonteCarlo:
     def test_silence_is_a_coin_flip(self):
         # With accuracy-only receivers the (1,1,0,0) residuals are exactly 0,
         # so both types still (tie-break) believe and accuracy is Q/4 = 1/2.
-        profile = IdentityProfile(1.0, 0.0, 1.0, 2.0)
-        pop = Population(profile, profile)
+        profile = (1.0, 0.0, 1.0, 2.0)
+        pop = Population(*profile, *profile)
         acc, se = monte_carlo_accuracy(SenderStrategy(1, 1, 0, 0), pop, 100000, 1)
         assert abs(acc - 0.5) <= 3.0 * math.sqrt(0.25 / 100000)
 

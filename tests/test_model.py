@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from identity_channel.model import (
+    PARAM_NAMES,
     Group,
-    IdentityProfile,
+    Population,
     ReceiverStrategy,
     SenderStrategy,
     accuracy_utility,
     identity_utility,
     population_from_params,
-    population_params,
     quality,
     receiver_utility,
 )
@@ -22,20 +22,15 @@ probs = st.floats(0.0, 1.0, allow_nan=False)
 
 
 def make_profile(la=0.55, ls=0.45, dI=1.0, dO=2.0):
-    return IdentityProfile(
-        accuracy_weight=la,
-        identity_weight=ls,
-        in_group_penalty=dI,
-        out_group_penalty=dO,
-    )
+    return (la, ls, dI, dO)
 
 
 class TestTypes:
     def test_profile_rejects_negative(self):
-        with pytest.raises(ValueError):
-            make_profile(la=-0.1)
-        with pytest.raises(ValueError):
-            make_profile(dO=math.inf)
+        with pytest.raises(ValueError, match="lambda_a_A must be finite"):
+            Population(*make_profile(la=-0.1), *make_profile())
+        with pytest.raises(ValueError, match="delta_O_B must be finite"):
+            Population(*make_profile(), *make_profile(dO=math.inf))
 
     def test_strategy_bounds(self):
         with pytest.raises(ValueError):
@@ -45,7 +40,7 @@ class TestTypes:
 
     def test_params_roundtrip(self, balanced_params):
         pop = population_from_params(balanced_params)
-        assert population_params(pop) == balanced_params
+        assert dict(zip(PARAM_NAMES, pop)) == balanced_params
 
     def test_params_rejects_unknown_and_missing(self, balanced_params):
         bad = dict(balanced_params)

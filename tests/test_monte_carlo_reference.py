@@ -36,7 +36,6 @@ from identity_channel.experiments import (
 )
 from identity_channel.model import (
     Group,
-    IdentityProfile,
     Population,
     SenderStrategy,
     population_from_params,
@@ -124,44 +123,42 @@ def _balanced():
 
 def _middle_band():
     # 1>k_A>k_B: n_B = k_A ~ 0.1647 is fractional, n_A = 1.
-    population = Population(
-        IdentityProfile(0.1, 0.9, 0.2, 2.0), IdentityProfile(0.5, 0.0, 1.0, 2.0)
-    )
+    population = Population(0.1, 0.9, 0.2, 2.0, 0.5, 0.0, 1.0, 2.0)
     result = closed_form_equilibrium(population)
     assert result.case_label == "1>k_A>k_B"
     return result.strategy, population
 
 
 def _silent():
-    profile = IdentityProfile(1.0, 0.0, 1.0, 2.0)
-    return SenderStrategy(1, 1, 0, 0), Population(profile, profile)
+    profile = (1.0, 0.0, 1.0, 2.0)
+    return SenderStrategy(1, 1, 0, 0), Population(*profile, *profile)
 
 
 def _noiseless():
-    profile = IdentityProfile(1.0, 0.0, 1.0, 2.0)
-    return SenderStrategy(1, 1, 1, 1), Population(profile, profile)
+    profile = (1.0, 0.0, 1.0, 2.0)
+    return SenderStrategy(1, 1, 1, 1), Population(*profile, *profile)
 
 
 def _two_lies():
     # Accuracy-only receivers believe; both x = 0 cells lie now and then,
     # so the sum of H has set and clear bits all the way down to bit 0.
-    profile = IdentityProfile(1.0, 0.0, 1.0, 2.0)
-    return SenderStrategy(1, 1, 0.3, 0.6), Population(profile, profile)
+    profile = (1.0, 0.0, 1.0, 2.0)
+    return SenderStrategy(1, 1, 0.3, 0.6), Population(*profile, *profile)
 
 
 def _half_lies():
     # The x = 0 source A cell's T = 2^52 has one bit set; the other cell's
     # T still gives the sum of H many bits.
-    profile = IdentityProfile(1.0, 0.0, 1.0, 2.0)
-    return SenderStrategy(1, 1, 0.5, 0.6), Population(profile, profile)
+    profile = (1.0, 0.0, 1.0, 2.0)
+    return SenderStrategy(1, 1, 0.5, 0.6), Population(*profile, *profile)
 
 
 def _uneven_truths():
     # Accuracy-only receivers believe; every T has many bits set, but they
     # cancel in the sum of H = 5 2^52, so the walk stops after bit 52 with
     # plays still tied.
-    profile = IdentityProfile(1.0, 0.0, 1.0, 2.0)
-    return SenderStrategy(0.9, 0.7, 0.3, 0.6), Population(profile, profile)
+    profile = (1.0, 0.0, 1.0, 2.0)
+    return SenderStrategy(0.9, 0.7, 0.3, 0.6), Population(*profile, *profile)
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from identity_channel.model import (
     Group,
-    IdentityProfile,
     Population,
     SenderStrategy,
     receiver_utility,
@@ -30,7 +29,8 @@ def brute_force_derivative(strategy, population, theta_bar, message):
     utility advantage of believing over disbelieving, weighted by the
     joint probability of the message.
     """
-    profile = population.profile_A if theta_bar is Group.A else population.profile_B
+    row = tuple(population)
+    profile = row[:4] if theta_bar is Group.A else row[4:]
     total = 0.0
     for x in (0, 1):
         for theta in Group:
@@ -60,8 +60,8 @@ class TestResiduals:
         assert res.g_B_b < 0.0
 
     def test_accuracy_only_reduces_to_quality(self):
-        profile = IdentityProfile(0.7, 0.0, 1.0, 2.0)
-        pop = Population(profile, profile)
+        profile = (0.7, 0.0, 1.0, 2.0)
+        pop = Population(*profile, *profile)
         for strat in (
             SenderStrategy(1, 1, 1, 1),
             SenderStrategy(0.2, 0.9, 0.4, 0.1),
@@ -77,9 +77,9 @@ class TestResiduals:
     def test_b_message_lie_probability_unrounded(self):
         # At m = 1 a b-message term is the lie probability itself, so one far
         # below the float spacing near 1 still enters the residual.
-        profile = IdentityProfile(0.0, 1.0, 1.0, 1.0)
+        profile = (0.0, 1.0, 1.0, 1.0)
         res = belief_residuals(
-            SenderStrategy(1.0, 1.0, 1e-17, 0.0), Population(profile, profile)
+            SenderStrategy(1.0, 1.0, 1e-17, 0.0), Population(*profile, *profile)
         )
         assert res.g_A_b == 1e-17
         assert res.g_B_b == -1e-17
@@ -87,9 +87,9 @@ class TestResiduals:
     def test_accuracy_lie_probabilities_unrounded(self):
         # At m = 1 the accuracy term is the sum of the lie probabilities, so
         # ones far below the float spacing near 1 still enter every residual.
-        profile = IdentityProfile(1.0, 0.0, 1.0, 1.0)
+        profile = (1.0, 0.0, 1.0, 1.0)
         res = belief_residuals(
-            SenderStrategy(1.0, 1.0, 1e-17, 3e-17), Population(profile, profile)
+            SenderStrategy(1.0, 1.0, 1e-17, 3e-17), Population(*profile, *profile)
         )
         assert (res.g_A_a, res.g_A_b, res.g_B_a, res.g_B_b) == (4e-17,) * 4
 
@@ -136,10 +136,7 @@ class TestResiduals:
         message,
     ):
         strategy = SenderStrategy(m_A, m_B, n_A, n_B)
-        population = Population(
-            IdentityProfile(la_A, ls_A, dI_A, dO_A),
-            IdentityProfile(la_B, ls_B, dI_B, dO_B),
-        )
+        population = Population(la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B)
         res = residual_for(strategy, population, theta_bar, message)
         deriv = brute_force_derivative(strategy, population, theta_bar, message)
         # The residual is the derivative times a positive constant (4 under
@@ -151,8 +148,8 @@ class TestResiduals:
 
 class TestBestResponse:
     def test_pure_accuracy_seekers_believe_truth(self):
-        profile = IdentityProfile(1.0, 0.0, 1.0, 2.0)
-        pop = Population(profile, profile)
+        profile = (1.0, 0.0, 1.0, 2.0)
+        pop = Population(*profile, *profile)
         for g in Group:
             br = best_response(SenderStrategy(1, 1, 1, 1), pop, g)
             assert (br.p, br.q) == (1.0, 1.0)
@@ -170,8 +167,8 @@ class TestBestResponse:
 
     def test_tie_resolves_to_believe(self):
         # All-zero weights give residuals exactly 0 for every strategy.
-        profile = IdentityProfile(0.0, 0.0, 0.0, 0.0)
-        pop = Population(profile, profile)
+        profile = (0.0, 0.0, 0.0, 0.0)
+        pop = Population(*profile, *profile)
         br = best_response(SenderStrategy(0.5, 0.5, 0.5, 0.5), pop, Group.A)
         assert (br.p, br.q) == (1.0, 1.0)
 
@@ -190,8 +187,8 @@ class TestBestResponse:
     def test_best_response_is_pure(
         self, m_A, m_B, n_A, n_B, la, ls, dI, dO, theta_bar
     ):
-        profile = IdentityProfile(la, ls, dI, dO)
-        pop = Population(profile, profile)
+        profile = (la, ls, dI, dO)
+        pop = Population(*profile, *profile)
         br = best_response(SenderStrategy(m_A, m_B, n_A, n_B), pop, theta_bar)
         assert br.p in (0.0, 1.0)
         assert br.q in (0.0, 1.0)
