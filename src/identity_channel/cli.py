@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .equilibrium import (
     MAX_TRIALS,
@@ -73,21 +72,13 @@ def _round12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed JSON config: a population plus optional per-command blocks."""
-
-    population: Population
-    estimator: dict | None = None
-    sweep: dict | None = None
-    simulate: dict | None = None
-
-
-_CONFIG_KEYS = {"population", "estimator", "sweep", "simulate"}
-_ESTIMATOR_KEYS = {"delta", "M"}
-_SWEEP_KEYS = {"axes", "simplex_constrained"}
+#: The keys of each optional per-command config block.
+_BLOCK_KEYS = {
+    "estimator": {"delta", "M"},
+    "sweep": {"axes", "simplex_constrained"},
+    "simulate": {"N", "seed"},
+}
 _AXIS_KEYS = {"name", "lo", "hi", "resolution"}
-_SIMULATE_KEYS = {"N", "seed"}
 
 
 def _check_keys(block: dict, allowed: set, where: str) -> None:
@@ -96,7 +87,12 @@ def _check_keys(block: dict, allowed: set, where: str) -> None:
         raise UsageError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, block: str | None = None) -> tuple[Population, dict | None]:
+    """The config at `path`: its population, and its `block` block (None if unnamed).
+
+    Every block present is checked.  A named block that is absent or null
+    is a usage error, raised after all other checks.
+    """
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -112,38 +108,40 @@ def load_config(path: str) -> RunConfig:
         raise UsageError(f"config {path!r} nests too deeply") from exc
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
-    _check_keys(raw, _CONFIG_KEYS, "config")
+    _check_keys(raw, {"population", *_BLOCK_KEYS}, "config")
     if "population" not in raw:
         raise UsageError("config is missing the 'population' block")
-    block = raw["population"]
-    if not isinstance(block, dict):
+    params = raw["population"]
+    if not isinstance(params, dict):
         raise UsageError("config block 'population' must be a JSON object")
-    _check_keys(block, set(PARAM_NAMES), "config block 'population'")
+    _check_keys(params, set(PARAM_NAMES), "config block 'population'")
     try:
         population = population_from_params(
-            {name: _config_real("population", name, v) for name, v in block.items()}
+            {name: _config_real("population", name, v) for name, v in params.items()}
         )
     except ValueError as exc:
         raise UsageError(f"bad population block: {exc}") from exc
-    for name, keys in (
-        ("estimator", _ESTIMATOR_KEYS),
-        ("sweep", _SWEEP_KEYS),
-        ("simulate", _SIMULATE_KEYS),
-    ):
+    for name, keys in _BLOCK_KEYS.items():
         if raw.get(name) is not None:
             if not isinstance(raw[name], dict):
                 raise UsageError(f"config block {name!r} must be a JSON object")
             _check_keys(raw[name], keys, f"config block {name!r}")
-    return RunConfig(
-        population=population,
-        estimator=raw.get("estimator"),
-        sweep=raw.get("sweep"),
-        simulate=raw.get("simulate"),
-    )
+    if block is not None and raw.get(block) is None:
+        raise UsageError(f"config is missing the {block!r} block")
+    return population, raw.get(block)
+
+
+def _rounded(value):
+    """`value` with every float in it, through dicts and lists, at 12 digits."""
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rounded(item) for item in value]
+    return _round12(value) if isinstance(value, float) else value
 
 
 def _print_report(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(_rounded(report), indent=2, sort_keys=True))
 
 
 def _printable_strategy(strategy, population) -> tuple[dict, tuple[bool, bool]]:
@@ -170,20 +168,20 @@ def _printable_strategy(strategy, population) -> tuple[dict, tuple[bool, bool]]:
     for printed in [*candidates, candidates[0]]:
         if (kept := believes(printed, population)) == flags:
             break
-    return {name: _round12(value) for name, value in vars(printed).items()}, kept
+    return vars(printed), kept
 
 
 def cmd_equilibrium(args) -> int:
-    config = load_config(args.config)
-    result = closed_form_equilibrium(config.population)
-    fields, (bel_A, bel_B) = _printable_strategy(result.strategy, config.population)
+    population, _ = load_config(args.config)
+    result = closed_form_equilibrium(population)
+    fields, (bel_A, bel_B) = _printable_strategy(result.strategy, population)
     _print_report(
         {
-            "k_A": _round12(result.params.k_A),
-            "k_B": _round12(result.params.k_B),
+            "k_A": result.params.k_A,
+            "k_B": result.params.k_B,
             "case": result.case_label,
             **fields,
-            "Q": _round12(result.quality),
+            "Q": result.quality,
             "believes_A": bel_A,
             "believes_B": bel_B,
         }
@@ -195,8 +193,7 @@ def cmd_verify(args) -> int:
     if args.config is not None:
         if args.trials is not None or args.seed is not None:
             raise UsageError("--trials and --seed do not apply with --config")
-        population = load_config(args.config).population
-        report = compare_batch([list(population)])
+        report = compare_batch([list(load_config(args.config)[0])])
     else:
         trials = 100 if args.trials is None else args.trials
         if not 1 <= trials <= MAX_TRIALS:
@@ -205,16 +202,13 @@ def cmd_verify(args) -> int:
     _print_report(
         {
             "trials": len(report.params),
-            "max_quality_gap": _round12(report.quality_gap.max()),
-            "max_coordinate_gap": _round12(report.coordinate_gap.max()),
+            "max_quality_gap": report.quality_gap.max(),
+            "max_coordinate_gap": report.coordinate_gap.max(),
             "failures": [
                 {
-                    "population": {
-                        k: _round12(v)
-                        for k, v in sorted(zip(PARAM_NAMES, report.params[i]))
-                    },
-                    "quality_gap": _round12(report.quality_gap[i]),
-                    "coordinate_gap": _round12(report.coordinate_gap[i]),
+                    "population": dict(zip(PARAM_NAMES, report.params[i])),
+                    "quality_gap": report.quality_gap[i],
+                    "coordinate_gap": report.coordinate_gap[i],
                 }
                 for i in report.failures
             ],
@@ -224,29 +218,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    config = load_config(args.config)
-    if config.estimator is None:
-        raise UsageError("config is missing the 'estimator' block")
-    if "delta" not in config.estimator:
+    population, estimator = load_config(args.config, "estimator")
+    if "delta" not in estimator:
         raise UsageError("estimator block is missing 'delta'")
-    delta = _config_real("estimator", "delta", config.estimator["delta"])
-    M = _config_real("estimator", "M", config.estimator.get("M", DEFAULT_SEARCH_BOUND))
+    delta = _config_real("estimator", "delta", estimator["delta"])
+    M = _config_real("estimator", "M", estimator.get("M", DEFAULT_SEARCH_BOUND))
     # Bisection announces m_A = m_B = 1, optimal only under the restriction.
-    check_population(config.population, UNRESTRICTED)
-    oracle = GroundTruthOracle(config.population)
+    check_population(population, UNRESTRICTED)
+    oracle = GroundTruthOracle(population)
     res_A = estimate_k(oracle, Group.A, delta, M)
     res_B = estimate_k(oracle, Group.B, delta, M)
     strat = strategy_from_estimates(*certified_estimates(res_A, res_B))
     _print_report(
         {
-            "k_hat_A": _round12(res_A.k_hat),
+            "k_hat_A": res_A.k_hat,
             "steps_A": res_A.steps,
             "hit_upper_bound_A": res_A.hit_upper_bound,
-            "k_hat_B": _round12(res_B.k_hat),
+            "k_hat_B": res_B.k_hat,
             "steps_B": res_B.steps,
             "hit_upper_bound_B": res_B.hit_upper_bound,
-            **_printable_strategy(strat, config.population)[0],
-            "Q": _round12(quality(strat)),
+            **_printable_strategy(strat, population)[0],
+            "Q": quality(strat),
         }
     )
     return EXIT_OK
@@ -271,10 +263,8 @@ def _config_real(where: str, name: str, value) -> float:
         raise UsageError(f"{where} {name!r} is out of range: {exc}") from exc
 
 
-def _sweep_spec_from_config(config: RunConfig) -> SweepSpec:
-    if config.sweep is None:
-        raise UsageError("config is missing the 'sweep' block")
-    raw_axes = config.sweep.get("axes")
+def _sweep_spec_from_config(population: Population, block: dict) -> SweepSpec:
+    raw_axes = block.get("axes")
     if not isinstance(raw_axes, list) or not raw_axes:
         raise UsageError("sweep block must list one or two axes")
     axes = []
@@ -294,22 +284,19 @@ def _sweep_spec_from_config(config: RunConfig) -> SweepSpec:
         except (KeyError, ValueError, TypeError) as exc:
             raise UsageError(f"bad sweep axis: {exc}") from exc
         axes.append(axis)
-    simplex = config.sweep.get("simplex_constrained", False)
+    simplex = block.get("simplex_constrained", False)
     if not isinstance(simplex, bool):
         raise UsageError(
             f"sweep 'simplex_constrained' must be true or false, got {simplex!r}"
         )
     try:
-        return SweepSpec(
-            base=config.population, axes=tuple(axes), simplex_constrained=simplex
-        )
+        return SweepSpec(base=population, axes=tuple(axes), simplex_constrained=simplex)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    spec = _sweep_spec_from_config(config)
+    spec = _sweep_spec_from_config(*load_config(args.config, "sweep"))
     direction = None
     if args.audit:
         if len(spec.axes) != 1:
@@ -326,22 +313,14 @@ def cmd_sweep(args) -> int:
     report = {
         "rows": summary.rows,
         "skipped": summary.skipped,
-        "min_Q": None if summary.min_Q is None else _round12(summary.min_Q),
-        "max_Q": None if summary.max_Q is None else _round12(summary.max_Q),
+        "min_Q": summary.min_Q,
+        "max_Q": summary.max_Q,
         "out": args.out,
     }
     exit_code = EXIT_OK
     if args.audit:
         report["audit_direction"] = direction.value
-        report["audit_violations"] = [
-            {
-                "axis_lo": _round12(v.axis_lo),
-                "axis_hi": _round12(v.axis_hi),
-                "q_lo": _round12(v.q_lo),
-                "q_hi": _round12(v.q_hi),
-            }
-            for v in summary.violations
-        ]
+        report["audit_violations"] = [vars(v) for v in summary.violations]
         if summary.violations:
             exit_code = EXIT_PROPERTY_FAILURE
     _print_report(report)
@@ -349,23 +328,21 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    if config.simulate is None:
-        raise UsageError("config is missing the 'simulate' block")
-    N = _config_int("simulate", "N", config.simulate.get("N"), minimum=1)
+    population, simulate = load_config(args.config, "simulate")
+    N = _config_int("simulate", "N", simulate.get("N"), minimum=1)
     if N > MAX_PLAYS:
         raise UsageError(f"simulate 'N' must be <= {MAX_PLAYS}, got {N}")
-    if args.seed is not None and "seed" in config.simulate:
+    if args.seed is not None and "seed" in simulate:
         raise UsageError("the seed is given twice: by --seed and by simulate 'seed'")
     seed = _config_int(
-        "simulate", "seed", config.simulate.get("seed", args.seed or 0), minimum=0
+        "simulate", "seed", simulate.get("seed", args.seed or 0), minimum=0
     )
-    result = closed_form_equilibrium(config.population)
+    result = closed_form_equilibrium(population)
     expected = result.quality / 4.0
     try:
         with replace_on_success(args.out) as handle:
             accuracy, std_error = monte_carlo_accuracy(
-                result.strategy, config.population, N, seed
+                result.strategy, population, N, seed
             )
             write_simulation_csv(handle, N, seed, accuracy, std_error, expected)
     except OSError as exc:
@@ -375,9 +352,9 @@ def cmd_simulate(args) -> int:
         {
             "N": N,
             "seed": seed,
-            "accuracy": _round12(accuracy),
-            "std_error": _round12(std_error),
-            "expected": _round12(expected),
+            "accuracy": accuracy,
+            "std_error": std_error,
+            "expected": expected,
             "out": args.out,
         }
     )

@@ -10,6 +10,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from identity_channel import cli, equilibrium, estimator, experiments, model
 from identity_channel.cli import EXIT_OK, main
 
@@ -49,3 +51,23 @@ def test_sweep_report_counts_every_cell(capsys, tmp_path, balanced_params):
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
     assert (report["rows"], report["skipped"]) == (3, 2)
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate", "estimate"])
+def test_setup_code_loads_a_config_by_path_alone(tmp_path, balanced_params, command):
+    # `perfbench/run.py`'s SETUP_CODE times this sequence as `setup_s`: the
+    # job's argv parsed by the shared parser, then its config loaded by path.
+    path = tmp_path / "c.json"
+    axes = [{"name": "delta_I_A", "lo": 0.0, "hi": 4.0, "resolution": 5}]
+    config = {
+        "population": balanced_params,
+        "estimator": {"delta": 0.01},
+        "sweep": {"axes": axes},
+        "simulate": {"N": 100, "seed": 1},
+    }
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path)]
+    if command != "estimate":
+        argv += ["--out", str(tmp_path / "o.csv")]
+    args = cli.build_parser().parse_args(argv)
+    cli.load_config(args.config)

@@ -138,7 +138,7 @@ class TestConfigLoading:
         params = dict(balanced_params, delta_I_A=1, delta_O_A=2)
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"population": params}))
-        population = load_config(str(path)).population
+        population = load_config(str(path))[0]
         assert population.delta_O_A == 2.0
         assert isinstance(population.delta_O_A, float)
 
@@ -168,9 +168,9 @@ class TestConfigLoading:
         assert captured.err.startswith("usage error: ")
 
     def test_loads_blocks(self, balanced_config):
-        config = load_config(balanced_config)
-        assert config.estimator == {"delta": 0.01, "M": 10000}
-        assert config.simulate == {"N": 20000, "seed": 3}
+        estimator = load_config(balanced_config, "estimator")[1]
+        assert estimator == {"delta": 0.01, "M": 10000}
+        assert load_config(balanced_config, "simulate")[1] == {"N": 20000, "seed": 3}
 
 
 class TestEquilibriumCommand:
@@ -267,11 +267,11 @@ class TestEquilibriumCommand:
         from identity_channel.receiver import believes
 
         code, report = run_json(capsys, ["equilibrium", "--config", balanced_config])
-        config = load_config(balanced_config)
+        population, _ = load_config(balanced_config)
         strat = SenderStrategy(
             report["m_A"], report["m_B"], report["n_A"], report["n_B"]
         )
-        bel = believes(strat, config.population)
+        bel = believes(strat, population)
         assert bel == (report["believes_A"], report["believes_B"])
 
 
@@ -533,7 +533,7 @@ class TestEstimateCommand:
         strat = SenderStrategy(
             report["m_A"], report["m_B"], report["n_A"], report["n_B"]
         )
-        population = load_config(balanced_config).population
+        population = load_config(balanced_config)[0]
         assert believes(strat, population) == (True, True)
 
     @pytest.mark.parametrize("rows", [[32], range(200)], ids=["row-32", "all-200"])
@@ -555,7 +555,7 @@ class TestEstimateCommand:
             strat = SenderStrategy(
                 report["m_A"], report["m_B"], report["n_A"], report["n_B"]
             )
-            population = load_config(str(path)).population
+            population = load_config(str(path))[0]
             assert believes(strat, population) == (True, True), i
 
     def test_missing_block(self, capsys, tmp_path, balanced_params):
@@ -1185,3 +1185,184 @@ class TestSharedParser:
         code, report = run_json(capsys, sweep)
         assert code == EXIT_OK
         assert not [key for key in report if key.startswith("audit_")]
+
+
+def _balanced_with(**blocks):
+    """A config built from the balanced one: its population, edited by
+    `blocks["population"]`, plus the other given blocks."""
+    edits = blocks.pop("population", {})
+    return lambda config: {"population": dict(config["population"], **edits), **blocks}
+
+
+#: Whole reports, byte for byte, `{out}` standing for the --out path: the
+#: command, its config made from the balanced one (None: no --config), the
+#: exit code, stdout, and the CSV for `simulate`.
+REPORT_PINS = {
+    "equilibrium": (["equilibrium"], dict, EXIT_OK, """\
+{
+  "Q": 3.9756097561,
+  "believes_A": true,
+  "believes_B": true,
+  "case": "k_A>k_B>1",
+  "k_A": 2.85714285714,
+  "k_B": 1.025,
+  "m_A": 1.0,
+  "m_B": 1.0,
+  "n_A": 0.975609756097,
+  "n_B": 1.0
+}
+""", None),
+    "estimate": (["estimate"], dict, EXIT_OK, """\
+{
+  "Q": 3.97218825244,
+  "hit_upper_bound_A": false,
+  "hit_upper_bound_B": false,
+  "k_hat_A": 2.85471105576,
+  "k_hat_B": 1.02383947372,
+  "m_A": 1.0,
+  "m_B": 1.0,
+  "n_A": 0.972188252441,
+  "n_B": 1.0,
+  "steps_A": 21,
+  "steps_B": 21
+}
+""", None),
+    "verify-config": (["verify"], dict, EXIT_OK, """\
+{
+  "failures": [],
+  "max_coordinate_gap": 1.11022302463e-16,
+  "max_quality_gap": 0.0,
+  "trials": 1
+}
+""", None),
+    "simulate": (["simulate"], dict, EXIT_OK, """\
+{
+  "N": 20000,
+  "accuracy": 0.9947,
+  "expected": 0.993902439024,
+  "out": "{out}",
+  "seed": 3,
+  "std_error": 0.000513415523723
+}
+""", b"N,seed,accuracy,std_error,expected\n"
+     b"20000,3,0.9947,0.000513415523723,0.993902439024\n"),
+    # k_A == k_B, where the closed form misses the LP's optimum.
+    "verify-degenerate-band": (
+        ["verify"],
+        _balanced_with(
+            population=dict(lambda_a_A=0.25, lambda_s_A=0.75, delta_O_B=3.0)
+        ),
+        EXIT_PROPERTY_FAILURE, """\
+{
+  "failures": [
+    {
+      "coordinate_gap": 1.0,
+      "population": {
+        "delta_I_A": 1.0,
+        "delta_I_B": 1.0,
+        "delta_O_A": 2.0,
+        "delta_O_B": 3.0,
+        "lambda_a_A": 0.25,
+        "lambda_a_B": 0.55,
+        "lambda_s_A": 0.75,
+        "lambda_s_B": 0.45
+      },
+      "quality_gap": 1.8
+    }
+  ],
+  "max_coordinate_gap": 1.0,
+  "max_quality_gap": 1.8,
+  "trials": 1
+}
+""", None),
+    # Quality falls along delta_O_B, which the audit reads as violations.
+    "sweep-audit": (
+        ["sweep", "--audit"],
+        _balanced_with(
+            sweep={
+                "axes": [{"name": "delta_O_B", "lo": 1.0, "hi": 3.5, "resolution": 201}]
+            }
+        ),
+        EXIT_PROPERTY_FAILURE, """\
+{
+  "audit_direction": "nondecreasing",
+  "audit_violations": [
+    {
+      "axis_hi": 3.45,
+      "axis_lo": 3.4375,
+      "q_hi": 3.99750623441,
+      "q_lo": 4.0
+    },
+    {
+      "axis_hi": 3.4625,
+      "axis_lo": 3.45,
+      "q_hi": 3.99194048357,
+      "q_lo": 3.99750623441
+    },
+    {
+      "axis_hi": 3.475,
+      "axis_lo": 3.4625,
+      "q_hi": 3.98643649815,
+      "q_lo": 3.99194048357
+    },
+    {
+      "axis_hi": 3.4875,
+      "axis_lo": 3.475,
+      "q_hi": 3.98099325567,
+      "q_lo": 3.98643649815
+    },
+    {
+      "axis_hi": 3.5,
+      "axis_lo": 3.4875,
+      "q_hi": 3.9756097561,
+      "q_lo": 3.98099325567
+    }
+  ],
+  "max_Q": 4.0,
+  "min_Q": 3.9756097561,
+  "out": "{out}",
+  "rows": 201,
+  "skipped": 0
+}
+""", None),
+    "verify-trials": (["verify", "--trials", "1000", "--seed", "1"], None, EXIT_OK, """\
+{
+  "failures": [],
+  "max_coordinate_gap": 2.30867974308e-13,
+  "max_quality_gap": 4.37871960912e-13,
+  "trials": 1000
+}
+""", None),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_PINS)
+def test_whole_report_is_pinned(capsys, tmp_path, balanced_config, name):
+    command, make_config, code, stdout, csv = REPORT_PINS[name]
+    argv = list(command)
+    if make_config is not None:
+        with open(balanced_config) as handle:
+            config = make_config(json.load(handle))
+        path = tmp_path / "pinned.json"
+        path.write_text(json.dumps(config))
+        argv[1:1] = ["--config", str(path)]
+    out = str(tmp_path / "out.csv")
+    if command[0] in ("simulate", "sweep"):
+        argv += ["--out", out]
+    assert main(argv) == code
+    assert capsys.readouterr().out.replace(out, "{out}") == stdout
+    if csv is not None:
+        assert (tmp_path / "out.csv").read_bytes() == csv
+
+
+def test_rounding_twice_is_rounding_once():
+    """The printer rounds every report real, including those that
+    `_printable_strategy` has already rounded; that must change no bit."""
+    from identity_channel.cli import _round12
+
+    rng = np.random.default_rng(29)
+    values = np.frombuffer(rng.bytes(8 * 50_000), dtype=np.float64)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, MAX, -MAX]
+    for value in [*values[np.isfinite(values)].tolist(), *special]:
+        once = _round12(value)
+        assert _round12(once).hex() == once.hex(), value
