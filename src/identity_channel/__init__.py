@@ -29,7 +29,6 @@ from .experiments import (
     SweepSpec,
     SweepSummary,
     expected_direction,
-    monotonicity_violations,
     monte_carlo_accuracy,
     run_sweep,
     stream_sweep,

@@ -157,7 +157,7 @@ def _printable_strategy(strategy, population) -> tuple[dict, tuple[bool, bool]]:
     def variants(x):
         r = _round12(x)
         step = 10.0 ** (math.floor(math.log10(r)) - 11) if r > 0.0 else 0.0
-        return dict.fromkeys([r, max(0.0, r - step)])
+        return dict.fromkeys([r, _round12(max(0.0, r - step))])
 
     candidates = [
         SenderStrategy(strategy.m_A, strategy.m_B, n_A, n_B)

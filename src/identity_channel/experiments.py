@@ -417,14 +417,14 @@ class SweepSummary:
     """What a streamed sweep reports once its last block is done.
 
     `min_Q` and `max_Q` are None when no cell was solved; `violations` is
-    None unless the sweep was audited.
+    empty unless the sweep was audited.
     """
 
     rows: int
     skipped: int
     min_Q: float | None
     max_Q: float | None
-    violations: tuple[MonotonicityViolation, ...] | None
+    violations: tuple[MonotonicityViolation, ...]
 
 
 @contextlib.contextmanager
@@ -460,91 +460,61 @@ def replace_on_success(path):
 
 
 def stream_sweep(
-    spec: SweepSpec, out=None, direction: Direction | None = None
+    spec: SweepSpec, out, direction: Direction | None = None
 ) -> SweepSummary:
-    """Run a sweep one block at a time: solve, write, count, then drop it.
+    """Run a sweep one block at a time: solve, write, count, audit, then drop it.
 
     Each block of `_SWEEP_BLOCK` cells is solved by `run_sweep`, its rows
-    written to the CSV at `out` (when given) by `write_sweep_csv`, and its
-    solved and skipped cells counted and its Q range taken into running
-    totals.  With a `direction`, each block is audited by
-    `monotonicity_violations`, carrying the last solved cell's axis value
-    and Q across the block edge.  Only one block is held at a time, so
-    memory is bounded whatever the grid size.  The CSV is written to a file
-    beside `out` and moved onto it at the end, so a sweep that fails
-    part-way leaves no partial CSV.
+    written by `write_sweep_csv` to the CSV at `out`, and its solved and
+    skipped cells counted and its Q range taken into running totals.  Only
+    one block is held at a time, so memory is bounded whatever the grid
+    size.  The CSV is written to a file beside `out` and moved onto it at
+    the end, so a sweep that fails part-way leaves no partial CSV.
+
+    With a `direction`, the sweep is audited along its first axis: every
+    pair of adjacent solved cells (skipped cells are passed over) whose Q
+    moves against `direction` by more than `_AUDIT_TOL` is a violation.
+    The last solved cell of a block is carried into the next, so the pair
+    across a block edge is judged too.  Each pair is judged and listed
+    along increasing axis value, so an axis that runs from a higher `lo`
+    down to a lower `hi` gives the same verdict as the ascending sweep.
     """
     rows = skipped = 0
     min_Q, max_Q = math.inf, -math.inf
-    last = None
+    axis0 = spec.axes[0]
+    downward = axis0.hi < axis0.lo
+    # A step along the grid goes against `direction` when sign * dQ < -tol.
+    sign = -1.0 if (direction is Direction.NONINCREASING) != downward else 1.0
+    last = (np.empty(0), np.empty(0))  # the last solved cell's axis value and Q
     found = []
     held = {}
-    sink = contextlib.nullcontext() if out is None else replace_on_success(out)
-    with sink as handle:
-        if handle is not None:
-            handle.write(SWEEP_CSV_HEADER)
+    with replace_on_success(out) as handle:
+        handle.write(SWEEP_CSV_HEADER)
         for start in range(0, math.prod(spec.shape), _SWEEP_BLOCK):
             block = run_sweep(spec, start, held)
-            if handle is not None:
-                write_sweep_csv(block, handle, held)
+            write_sweep_csv(block, handle, held)
             rows += len(block.Q)
             skipped += block.skipped
             if len(block.Q):
                 min_Q = min(min_Q, float(block.Q.min()))
                 max_Q = max(max_Q, float(block.Q.max()))
                 if direction is not None:
-                    found.append(monotonicity_violations(block, direction, last))
-                    axis = spec.axes[0].values(block.index[0][-1:])[0]
-                    last = (axis, block.Q[-1])
+                    axis = np.concatenate((last[0], axis0.values(block.index[0])))
+                    Q = np.concatenate((last[1], block.Q))
+                    (bad,) = np.nonzero(sign * np.diff(Q) < -_AUDIT_TOL)
+                    lo, hi = (bad + 1, bad) if downward else (bad, bad + 1)
+                    pairs = (axis[lo], axis[hi], Q[lo], Q[hi])
+                    found += map(MonotonicityViolation, *(p.tolist() for p in pairs))
+                    last = (axis[-1:], Q[-1:])
             del block  # so the next block is solved with only itself held
-    if spec.axes[0].hi < spec.axes[0].lo:
-        # Each block lists its violations along increasing axis value, so a
-        # descending axis lists its blocks last to first.
-        found.reverse()
+    if downward:
+        found.reverse()  # listed in grid order, that is by decreasing axis value
     return SweepSummary(
         rows,
         skipped,
         min_Q if rows else None,
         max_Q if rows else None,
-        tuple(itertools.chain(*found)) if direction is not None else None,
-    )
-
-
-def monotonicity_violations(
-    result: SweepResult,
-    direction: Direction,
-    previous: tuple[float, float] | None = None,
-) -> tuple[MonotonicityViolation, ...]:
-    """Check quality ordering of adjacent solved cells of a sweep block.
-
-    Reports every adjacent pair whose quality moves against `direction` by
-    more than 1e-9, with the first axis's values.  Skipped cells are
-    excluded, so comparisons are between consecutive solved cells.
-    `previous` is the (axis value, Q) of the last solved cell before this
-    block, if any, so the pair across the block edge is judged too.  Each
-    step is judged along increasing axis value: an axis that runs from a
-    higher `lo` down to a lower `hi` is read in reverse, so it gives the
-    same verdict as the ascending sweep.
-    """
-    axis = result.spec.axes[0].values(result.index[0])
-    Q = result.Q
-    if previous is not None:
-        axis = np.concatenate(([previous[0]], axis))
-        Q = np.concatenate(([previous[1]], Q))
-    if result.spec.axes[0].hi < result.spec.axes[0].lo:
-        axis, Q = axis[::-1], Q[::-1]
-    step = np.diff(Q)
-    if direction is Direction.NONINCREASING:
-        step = -step
-    (bad,) = np.nonzero(step < -_AUDIT_TOL)
-    return tuple(
-        map(
-            MonotonicityViolation,
-            axis[bad].tolist(),
-            axis[bad + 1].tolist(),
-            Q[bad].tolist(),
-            Q[bad + 1].tolist(),
-        )
+        tuple(found),
     )
 
 

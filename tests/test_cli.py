@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, reports, artifacts."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -946,9 +947,10 @@ class TestSweepCommand:
             population_from_params(balanced_params),
             (SweepAxis("delta_O_B", 1.0, 3.5, resolution),),
         )
+        summary = stream_sweep(spec, os.devnull, direction=Direction.NONDECREASING)
         expected = [
             {key: float(f"{value:.12g}") for key, value in vars(v).items()}
-            for v in stream_sweep(spec, direction=Direction.NONDECREASING).violations
+            for v in summary.violations
         ]
         reports = []
         for lo, hi in ((1.0, 3.5), (3.5, 1.0)):
@@ -1355,6 +1357,37 @@ def test_whole_report_is_pinned(capsys, tmp_path, balanced_config, name):
         assert (tmp_path / "out.csv").read_bytes() == csv
 
 
+def test_downward_audit_across_block_edge_is_pinned(capsys, tmp_path, balanced_config):
+    # delta_O_B runs from 3.5 down to 1.0 at 8197 points, so the audit
+    # carries the last solved cell across the block edge at position 8192
+    # and reverses the list of a downward axis; Q = 3 + 1/k_B falls in the
+    # tail past ~3.44, which the audit reads as 183 violations.
+    with open(balanced_config) as handle:
+        population = json.load(handle)["population"]
+    axis = {"name": "delta_O_B", "lo": 3.5, "hi": 1.0, "resolution": 8197}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"population": population, "sweep": {"axes": [axis]}}))
+
+    def sweep(*flags):
+        out = str(tmp_path / "out.csv")
+        code = main(["sweep", "--config", str(path), "--out", out, *flags])
+        with open(out, "rb") as handle:
+            return code, capsys.readouterr().out.replace(out, "{out}"), handle.read()
+
+    code, stdout, csv = sweep("--audit")
+    assert code == EXIT_PROPERTY_FAILURE
+    assert len(json.loads(stdout)["audit_violations"]) == 183
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "1982cd8b10b1cd69dba37d8114c7d640adc61d7d1a49fbe1fa3f89a41f3f8969"
+    )
+    assert hashlib.sha256(csv).hexdigest() == (
+        "ca5a295b013daf82eac90f271ec6c3e8bc34f40b6f9a9e07a0448a23527f663c"
+    )
+    code, _, plain = sweep()
+    assert code == EXIT_OK
+    assert plain == csv
+
+
 def test_rounding_twice_is_rounding_once():
     """The printer rounds every report real, including those that
     `_printable_strategy` has already rounded; that must change no bit."""
@@ -1366,3 +1399,29 @@ def test_rounding_twice_is_rounding_once():
     for value in [*values[np.isfinite(values)].tolist(), *special]:
         once = _round12(value)
         assert _round12(once).hex() == once.hex(), value
+
+
+def test_printed_strategy_is_the_one_tested():
+    """`_printable_strategy` checks `believes` on the fields it returns, so
+    each must already be a 12-digit value that the printer leaves as it is."""
+    from identity_channel.cli import _printable_strategy, _round12
+    from identity_channel.estimator import (
+        GroundTruthOracle,
+        certified_estimates,
+        estimate_k,
+        strategy_from_estimates,
+    )
+    from identity_channel.model import Group, Population, SenderStrategy
+    from identity_channel.receiver import believes
+
+    wrong = []
+    for i, row in enumerate(random_restricted_params(np.random.default_rng(2), 500)):
+        population = Population(*row.tolist())
+        oracle = GroundTruthOracle(population)
+        res_A, res_B = (estimate_k(oracle, group, 1e-12) for group in Group)
+        strategy = strategy_from_estimates(*certified_estimates(res_A, res_B))
+        fields, kept = _printable_strategy(strategy, population)
+        printed = all(_round12(v) == v for v in fields.values())
+        if not printed or believes(SenderStrategy(**fields), population) != kept:
+            wrong.append(i)
+    assert wrong == []

@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import math
+import os
 import sys
 import tracemalloc
 import warnings
@@ -21,7 +22,6 @@ from identity_channel.experiments import (
     SweepSpec,
     _type_rows,
     expected_direction,
-    monotonicity_violations,
     monte_carlo_accuracy,
     run_sweep,
     stream_sweep,
@@ -363,14 +363,16 @@ class TestAudit:
             base=balanced_population,
             axes=(SweepAxis("lambda_s_A", 0.0, 1.0, 101),),
         )
-        assert stream_sweep(spec, direction=Direction.NONINCREASING).violations == ()
+        summary = stream_sweep(spec, os.devnull, direction=Direction.NONINCREASING)
+        assert summary.violations == ()
 
     def test_lambda_a_A_nondecreasing(self, balanced_population):
         spec = SweepSpec(
             base=balanced_population,
             axes=(SweepAxis("lambda_a_A", 0.0, 1.0, 101),),
         )
-        assert stream_sweep(spec, direction=Direction.NONDECREASING).violations == ()
+        summary = stream_sweep(spec, os.devnull, direction=Direction.NONDECREASING)
+        assert summary.violations == ()
 
     def test_constant_plateau_passes_both_directions(self):
         profile = (0.9, 0.05, 1.0, 2.0)
@@ -379,7 +381,7 @@ class TestAudit:
             base=pop, axes=(SweepAxis("lambda_a_A", 0.8, 1.0, 21),)
         )
         for direction in Direction:
-            assert stream_sweep(spec, direction=direction).violations == ()
+            assert stream_sweep(spec, os.devnull, direction=direction).violations == ()
 
     def test_violations_are_adjacent_solved_cells(self, balanced_population):
         # Q = 3 + 1/k_B falls along delta_O_B; each violation must name the
@@ -398,9 +400,8 @@ class TestAudit:
             if q_hi - q_lo < -1e-9
         )
         assert len(expected) == 5
-        found = monotonicity_violations(result, Direction.NONDECREASING)
-        assert found == expected
-        assert stream_sweep(spec, direction=Direction.NONDECREASING).violations == found
+        summary = stream_sweep(spec, os.devnull, direction=Direction.NONDECREASING)
+        assert summary.violations == expected
 
     @pytest.mark.parametrize(
         "lo, hi, edge",
@@ -429,7 +430,8 @@ class TestAudit:
             MonotonicityViolation(*pair) for pair in pairs if pair[3] - pair[2] < -1e-9
         )
         assert len(expected) > 100
-        found = stream_sweep(spec, direction=Direction.NONDECREASING).violations
+        summary = stream_sweep(spec, os.devnull, direction=Direction.NONDECREASING)
+        found = summary.violations
         assert found == expected
         if edge is not None:
             at_edge = sorted(axis[edge - 1 : edge + 1])
@@ -443,7 +445,7 @@ class TestAudit:
                 base=balanced_population,
                 axes=(SweepAxis(name, lo, hi, resolution),),
             )
-            return stream_sweep(spec, direction=direction).violations
+            return stream_sweep(spec, os.devnull, direction=direction).violations
 
         down = Direction.NONINCREASING
         assert audit("lambda_s_B", 0.0, 1.0, 11, down) == ()
