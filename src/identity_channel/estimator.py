@@ -39,8 +39,7 @@ class BelieveOracle(Protocol):
     """Answers whether one receiver type believes an announced encoding.
 
     Answers must be deterministic and consistent with the type's belief
-    constraint at (n_A, n_B) with m_A = m_B = 1.  Implementations must be
-    safe for concurrent read-only queries.
+    constraint at (n_A, n_B) with m_A = m_B = 1.
     """
 
     def query(self, side: Group, n_A: float, n_B: float) -> bool: ...

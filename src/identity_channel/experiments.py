@@ -36,7 +36,7 @@ _SWEEP_BLOCK = 8192
 
 #: Raw words drawn and counted at a time by `_fair_split`: bounds the Monte
 #: Carlo's working arrays whatever N is, to a traced peak of about 1 MiB
-#: (one block of words is still held while the next is drawn).
+#: (one block of words is still kept while the next is drawn).
 _MC_CHUNK = 1 << 16
 
 #: The largest N `monte_carlo_accuracy` takes, the int64 range.  Sampling
@@ -225,7 +225,7 @@ def _type_params(spec: SweepSpec, group: Group, rows: np.ndarray) -> np.ndarray:
     return params
 
 
-def run_sweep(spec: SweepSpec, start: int, held: dict | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec, start: int) -> SweepResult:
     """Evaluate the closed-form equilibrium on one block of the grid.
 
     The block is grid positions [start, start + `_SWEEP_BLOCK`) in row-major
@@ -236,34 +236,23 @@ def run_sweep(spec: SweepSpec, start: int, held: dict | None = None) -> SweepRes
     `solve_cells`.  The others are skipped and counted: a parameter is
     negative or not finite (e.g. a negative simplex complement), a type
     violates the penalty-ordering restriction, or a type's k is 0/0 or
-    inf/inf.  `stream_sweep` runs every block of a grid.
-
-    `held`, the dict `write_sweep_csv` takes, kept across the blocks of
-    one sweep, keeps each type's parameters, status and k per type row
-    while the next block spans the same rows, as the type moved by a 2-D
-    sweep's second axis does; a type's old rows are dropped before its new
-    ones are computed, so only one block's rows are held.
+    inf/inf.  The block depends on `spec` and `start` alone; `stream_sweep`
+    runs every block of a grid.
     """
-    if held is None:
-        held = {}
     position = np.arange(start, min(start + _SWEEP_BLOCK, math.prod(spec.shape)))
     index = np.unravel_index(position, spec.shape)
     ok = np.ones(len(position), dtype=bool)
     rows, params, k_rows = [], [], []
     for group in Group:
         row = _type_rows(spec, group, index)
-        span = (int(row.min()), int(row.max()) + 1)
-        key = (group, "rows")
-        if key not in held or held[key][0] != span:
-            held.pop(key, None)
-            p = _type_params(spec, group, np.arange(*span))
-            held[key] = (span, p, *type_ratio(group, p))
-        _, p, status, k = held[key]
-        row = row - span[0]
+        first = int(row.min())
+        p = _type_params(spec, group, np.arange(first, int(row.max()) + 1))
+        status, k = type_ratio(group, p)
+        row = row - first
         ok &= (status == 0)[row]
         rows.append(row)
         params.append(p)
-        k_rows.append((span[0], k))
+        k_rows.append((first, k))
     rows = tuple(row[ok] for row in rows)
     # The solved cells' eight parameter columns, each type's four gathered
     # into its half; the rows are in range, and mode="clip" writes to `out`
@@ -357,7 +346,7 @@ def _csv_lines(fields: list[np.ndarray]) -> np.ndarray:
     return flat[flat != 0]
 
 
-def write_sweep_csv(result: SweepResult, handle, held=None) -> None:
+def write_sweep_csv(result: SweepResult, handle, held: dict) -> None:
     """Write one block's CSV rows, one per solved cell, to the binary file `handle`.
 
     Rows carry 12 significant digits under `SWEEP_CSV_HEADER`; a 1-D
@@ -372,16 +361,14 @@ def write_sweep_csv(result: SweepResult, handle, held=None) -> None:
     bytes are those csv.writer would write.
 
     `held`, a dict kept across the blocks of one sweep, holds each axis's
-    and each receiver type's last formatted range (and `run_sweep`'s type
-    rows): a 2-D sweep's second axis, and the type it moves, span the same
-    range in block after block, so their text is formatted once.  Each
-    cell's axis indices and type rows come from `result.index` and
-    `result.rows`.
+    and each receiver type's last formatted range: a 2-D sweep's second
+    axis, and the type it moves, span the same range in block after block,
+    so their text is formatted once.  It is all that solving and writing
+    carry from one block to the next.  Each cell's axis indices and type
+    rows come from `result.index` and `result.rows`.
     """
     if len(result.Q) == 0:
         return
-    if held is None:
-        held = {}
     fields = []
     for k, (axis, i) in enumerate(zip(result.spec.axes, result.index)):
         # A block's cells are consecutive grid positions, so each axis's
@@ -468,17 +455,23 @@ def stream_sweep(
     written by `write_sweep_csv` to the CSV at `out`, and its solved and
     skipped cells counted and its Q range taken into running totals.  Only
     one block is held at a time, so memory is bounded whatever the grid
-    size.  The CSV is written to a file beside `out` and moved onto it at
-    the end, so a sweep that fails part-way leaves no partial CSV.
+    size.  Each block is solved from `spec` and its start alone; the
+    writer's `held` text is all that solving and writing carry from one
+    block to the next.  The CSV is written to a file beside `out` and
+    moved onto it at the end, so a sweep that fails part-way leaves no
+    partial CSV.
 
-    With a `direction`, the sweep is audited along its first axis: every
-    pair of adjacent solved cells (skipped cells are passed over) whose Q
-    moves against `direction` by more than `_AUDIT_TOL` is a violation.
-    The last solved cell of a block is carried into the next, so the pair
+    With a `direction`, the sweep is audited along its one axis (a
+    two-axis spec raises `ValueError` before `out` is opened): every pair
+    of adjacent solved cells (skipped cells are passed over) whose Q moves
+    against `direction` by more than `_AUDIT_TOL` is a violation.  The
+    last solved cell of a block is carried into the next, so the pair
     across a block edge is judged too.  Each pair is judged and listed
     along increasing axis value, so an axis that runs from a higher `lo`
     down to a lower `hi` gives the same verdict as the ascending sweep.
     """
+    if direction is not None and len(spec.axes) != 1:
+        raise ValueError("a sweep audit takes a single axis")
     rows = skipped = 0
     min_Q, max_Q = math.inf, -math.inf
     axis0 = spec.axes[0]
@@ -491,7 +484,7 @@ def stream_sweep(
     with replace_on_success(out) as handle:
         handle.write(SWEEP_CSV_HEADER)
         for start in range(0, math.prod(spec.shape), _SWEEP_BLOCK):
-            block = run_sweep(spec, start, held)
+            block = run_sweep(spec, start)
             write_sweep_csv(block, handle, held)
             rows += len(block.Q)
             skipped += block.skipped

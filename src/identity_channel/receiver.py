@@ -28,6 +28,19 @@ class BeliefResiduals:
     g_B_b: float
 
 
+def _type_residuals(ls, la, dI, dO, m_own, m_other, n_own, n_other, acc):
+    """One receiver type's (a, b) residuals; `other` is the out-group source.
+
+    `acc` sums the lie probabilities apart and a b-message term is
+    (1 - m) + n, so at m = 1 each lie probability enters unrounded.
+    """
+    return (
+        ls * (dO * (m_other + 1.0 - n_other) - dI * (m_own + 1.0 - n_own)) + la * acc,
+        ls * (dI * ((1.0 - m_own) + n_own) - dO * ((1.0 - m_other) + n_other))
+        + la * acc,
+    )
+
+
 def belief_residuals(strategy, population) -> BeliefResiduals:
     """Residuals of a strategy under a population.
 
@@ -42,18 +55,9 @@ def belief_residuals(strategy, population) -> BeliefResiduals:
     m_A, m_B, n_A, n_B = strategy
     la_A, ls_A, dI_A, dO_A, la_B, ls_B, dI_B, dO_B = population
     acc = (m_A + m_B - 2.0) + (n_A + n_B)
-
-    # The accuracy term sums the lie probabilities apart and a b-message
-    # term is (1 - m) + n, so at m = 1 each lie probability enters unrounded.
     return BeliefResiduals(
-        g_A_a=ls_A * (dO_A * (m_B + 1.0 - n_B) - dI_A * (m_A + 1.0 - n_A))
-        + la_A * acc,
-        g_A_b=ls_A * (dI_A * ((1.0 - m_A) + n_A) - dO_A * ((1.0 - m_B) + n_B))
-        + la_A * acc,
-        g_B_a=ls_B * (dO_B * (m_A + 1.0 - n_A) - dI_B * (m_B + 1.0 - n_B))
-        + la_B * acc,
-        g_B_b=ls_B * (dI_B * ((1.0 - m_B) + n_B) - dO_B * ((1.0 - m_A) + n_A))
-        + la_B * acc,
+        *_type_residuals(ls_A, la_A, dI_A, dO_A, m_A, m_B, n_A, n_B, acc),
+        *_type_residuals(ls_B, la_B, dI_B, dO_B, m_B, m_A, n_B, n_A, acc),
     )
 
 

@@ -149,16 +149,16 @@ class TestRunSweep:
     def test_blocks_carry_cell_to_row_map(self, balanced_population, axes, simplex):
         """Each block's axis indices and type rows are its solved cells' own.
 
-        Blocks solved with the rows held from the block before equal blocks
-        solved afresh.
+        A block depends on (spec, start) alone: solving the blocks in
+        reverse order gives the same blocks, bit for bit.
         """
         spec = SweepSpec(balanced_population, axes, simplex)
         cells = math.prod(spec.shape)
         assert cells % _SWEEP_BLOCK  # the last block is cut short
-        held = {}
+        starts = range(0, cells, _SWEEP_BLOCK)
+        blocks = [run_sweep(spec, start) for start in starts]
         skipped = 0
-        for start in range(0, cells, _SWEEP_BLOCK):
-            block = run_sweep(spec, start, held)
+        for start, block in zip(starts, blocks):
             skipped += block.skipped
             assert len(block.index) == len(spec.axes)
             # The solved cells' grid positions: in the block, in order, and
@@ -176,13 +176,17 @@ class TestRunSweep:
                     rows, _type_rows(spec, group, block.index) - first
                 )
                 assert k[rows].tobytes() == k_cells.tobytes()
-            fresh = run_sweep(spec, start)
-            assert block.skipped == fresh.skipped
-            for carried, expected in zip(block.index, fresh.index):
-                assert carried.tobytes() == expected.tobytes()
-            for name in ("k_A", "k_B", "case", "n_A", "n_B", "Q"):
-                assert getattr(block, name).tobytes() == getattr(fresh, name).tobytes()
         assert skipped
+        for start, block in reversed(list(zip(starts, blocks))):
+            again = run_sweep(spec, start)
+            assert again.skipped == block.skipped
+            for name in ("k_A", "k_B", "case", "n_A", "n_B", "Q"):
+                assert getattr(again, name).tobytes() == getattr(block, name).tobytes()
+            assert len(again.index) == len(block.index)
+            for ours, theirs in zip(again.index + again.rows, block.index + block.rows):
+                assert ours.tobytes() == theirs.tobytes()
+            for (first, k), (block_first, block_k) in zip(again.k_rows, block.k_rows):
+                assert first == block_first and k.tobytes() == block_k.tobytes()
 
     def test_row_major_and_deterministic_csv(
         self, balanced_population, tmp_path, whole_sweep
@@ -436,6 +440,24 @@ class TestAudit:
         if edge is not None:
             at_edge = sorted(axis[edge - 1 : edge + 1])
             assert any(at_edge == [v.axis_lo, v.axis_hi] for v in found)
+
+    def test_audit_of_two_axes_rejected_before_out_is_opened(
+        self, balanced_population, tmp_path
+    ):
+        # Judged along the grid, a 5x5 delta_O_A x delta_O_B sweep would
+        # report steps along delta_O_B as pairs with axis_lo == axis_hi.
+        spec = SweepSpec(
+            base=balanced_population,
+            axes=(
+                SweepAxis("delta_O_A", 1.0, 3.5, 5),
+                SweepAxis("delta_O_B", 1.0, 3.5, 5),
+            ),
+        )
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(ValueError, match="single axis"):
+            stream_sweep(spec, out, direction=Direction.NONDECREASING)
+        assert list(tmp_path.iterdir()) == []
+        assert stream_sweep(spec, out).rows == 25
 
     def test_descending_axis_judged_along_increasing_values(
         self, balanced_population
