@@ -87,6 +87,16 @@ def _check_keys(block: dict, allowed: set, where: str) -> None:
         raise UsageError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a key given twice is a usage error."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise UsageError(f"config repeats the key {key!r}")
+        members[key] = value
+    return members
+
+
 def load_config(path: str, block: str | None = None) -> tuple[Population, dict | None]:
     """The config at `path`: its population, and its `block` block (None if unnamed).
 
@@ -95,11 +105,9 @@ def load_config(path: str, block: str | None = None) -> tuple[Population, dict |
     """
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            raw = json.loads(handle.read(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}") from exc
-    try:
-        raw = json.loads(data)
     except ValueError as exc:
         # JSONDecodeError, UnicodeDecodeError and integers over the int
         # digit limit are all ValueErrors.
@@ -132,16 +140,21 @@ def load_config(path: str, block: str | None = None) -> tuple[Population, dict |
 
 
 def _rounded(value):
-    """`value` with every float in it, through dicts and lists, at 12 digits."""
+    """`value` with every float in it, through dicts and lists, at 12 digits.
+
+    A non-finite float, which JSON has no number for, is its CSV text ("inf").
+    """
     if isinstance(value, dict):
         return {key: _rounded(item) for key, item in value.items()}
     if isinstance(value, list):
         return [_rounded(item) for item in value]
-    return _round12(value) if isinstance(value, float) else value
+    if not isinstance(value, float):
+        return value
+    return _round12(value) if math.isfinite(value) else f"{value:.12g}"
 
 
 def _print_report(report: dict) -> None:
-    print(json.dumps(_rounded(report), indent=2, sort_keys=True))
+    print(json.dumps(_rounded(report), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _printable_strategy(strategy, population) -> tuple[dict, tuple[bool, bool]]:

@@ -272,6 +272,11 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _text(values: np.ndarray, end: str) -> np.ndarray:
+    """Each float of `values` as `_fmt` bytes followed by the separator `end`."""
+    return np.array([_fmt(v) + end for v in values.tolist()], dtype="S")
+
+
 def _csv_field(text: str) -> str:
     """`text` as csv.writer writes it, quoted where it must be."""
     buffer = io.StringIO()
@@ -284,11 +289,11 @@ SWEEP_CSV_HEADER = b"axis1,axis2,k_A,k_B,case,n_A,n_B,Q\n"
 
 #: Each case label as csv.writer writes it: the only field that can need
 #: quoting (a label may contain a comma).
-_CASE_TEXT = np.array([_csv_field(label) for label in CASE_LABELS], dtype="S")
+_CASE_FIELDS = [_csv_field(label) for label in CASE_LABELS]
 
 
-def _distinct_text(column: np.ndarray) -> np.ndarray:
-    """Each float of `column` as `_fmt` bytes, each distinct value formatted once.
+def _distinct_text(column: np.ndarray, end: str) -> np.ndarray:
+    """`_text(column, end)`, each distinct value of `column` formatted once.
 
     n_A, n_B and Q repeat within a sweep block: n_A is 0, 1 or a function
     of k_B, n_B is 0, 1 or k_A, and no case moves both, so Q = 2 + n_A +
@@ -302,47 +307,31 @@ def _distinct_text(column: np.ndarray) -> np.ndarray:
     starts = np.ones(len(ordered), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     distinct = ordered[starts]
-    text = np.array([_fmt(v) for v in distinct.view(np.float64).tolist()], dtype="S")
-    return text[np.searchsorted(distinct, bits)]
+    return _text(distinct.view(np.float64), end)[np.searchsorted(distinct, bits)]
 
 
-def _span_text(held: dict, key, span: tuple[int, int], values) -> np.ndarray:
-    """`_fmt` bytes of `values(span)`, formatted again only when `span` changes.
+def _span_text(held: dict, key, span: tuple[int, int], values, end: str) -> np.ndarray:
+    """`_text(values(span), end)`, formatted again only when `span` changes.
 
     `held` keeps each key's last span and text across the blocks of a sweep.
     """
     if key not in held or held[key][0] != span:
-        text = [_fmt(v) for v in values(span).tolist()]
-        held[key] = (span, np.array(text, dtype="S"))
+        held[key] = (span, _text(values(span), end))
     return held[key][1]
 
 
 def _csv_lines(fields: list[np.ndarray]) -> np.ndarray:
-    """One comma-separated line per row of the aligned bytes columns `fields`.
+    """The lines of the aligned bytes columns `fields`, as one uint8 array.
 
-    Each row is one record of a structured array: a NUL-padded field per
-    column, each followed by a one-byte separator field.  The array is
-    filled from one record holding the separators, then each column is
-    written into its field.  Float text and the quoted case labels hold no
-    NUL, so dropping the NULs leaves the lines, as a uint8 array; an
-    all-NUL field comes out empty.
+    Each column's text ends in its separator.  A line is one record with a
+    NUL-padded field per column, so every record byte is written with its
+    column; text holds no NUL, so dropping the NULs leaves the lines.
     """
-    names = [f"f{k}" for k in range(len(fields))]
-    layout = []
-    for name, field in zip(names, fields):
-        layout += [(name, field.dtype), (f"{name}_end", "S1")]
-    layout = np.dtype(layout)
-    record = np.zeros(layout.itemsize, dtype=np.uint8)
-    for name in names:
-        record[layout.fields[f"{name}_end"][1]] = ord(",")
-    record[-1] = ord("\n")
-    # Copied as bytes: NumPy copies a structured record field by field.
-    flat = np.empty((len(fields[0]), layout.itemsize), dtype=np.uint8)
-    flat[:] = record
-    grid = flat.view(layout)[:, 0]
-    for name, field in zip(names, fields):
+    layout = np.dtype([(f"f{k}", field.dtype) for k, field in enumerate(fields)])
+    grid = np.empty(len(fields[0]), dtype=layout)
+    for name, field in zip(layout.names, fields):
         grid[name] = field
-    flat = flat.ravel()
+    flat = grid.view(np.uint8)
     return flat[flat != 0]
 
 
@@ -350,22 +339,20 @@ def write_sweep_csv(result: SweepResult, handle, held: dict) -> None:
     """Write one block's CSV rows, one per solved cell, to the binary file `handle`.
 
     Rows carry 12 significant digits under `SWEEP_CSV_HEADER`; a 1-D
-    sweep's axis2 is empty.  Each axis value is converted to text once per
+    sweep's axis2 is empty.  Each column's text ends in its separator, a
+    comma or, for Q, a newline.  Each axis value is formatted once per
     grid index in the block's range, k_A and k_B once per type row of
     `result.k_rows`, and n_A, n_B and Q once per distinct value of the
     block (by bits, so -0.0 stays "-0"; `_distinct_text` says why values
-    repeat).  Each column's text is gathered into one field of the block's
-    record array (`_csv_lines`), whose bytes less their padding go to
-    `handle` in one write, so the writer's memory is bounded by the block
-    whatever the grid size.  The case labels are quoted by csv.writer; the
-    bytes are those csv.writer would write.
+    repeat).  `_csv_lines` packs the columns into lines, written to
+    `handle` at once, so the writer's memory is bounded by the block
+    whatever the grid size.  The bytes are those csv.writer would write.
 
     `held`, a dict kept across the blocks of one sweep, holds each axis's
     and each receiver type's last formatted range: a 2-D sweep's second
     axis, and the type it moves, span the same range in block after block,
     so their text is formatted once.  It is all that solving and writing
-    carry from one block to the next.  Each cell's axis indices and type
-    rows come from `result.index` and `result.rows`.
+    carry from one block to the next.
     """
     if len(result.Q) == 0:
         return
@@ -374,19 +361,19 @@ def write_sweep_csv(result: SweepResult, handle, held: dict) -> None:
         # A block's cells are consecutive grid positions, so each axis's
         # indices span a range no longer than the block or the axis.
         span = (int(i.min()), int(i.max()) + 1)
-        text = _span_text(held, k, span, lambda s: axis.values(np.arange(*s)))
+        text = _span_text(held, k, span, lambda s: axis.values(np.arange(*s)), ",")
         fields.append(text[i - span[0]])
     if len(fields) == 1:
-        fields.append(np.zeros(len(result.Q), dtype="S1"))
+        fields.append(np.full(len(result.Q), b","))
     for group, (first, ratios), row in zip(Group, result.k_rows, result.rows):
         span = (first, first + len(ratios))
-        text = _span_text(held, group, span, lambda _: ratios)
+        text = _span_text(held, group, span, lambda _: ratios, ",")
         fields.append(text[row])
     fields += [
-        _CASE_TEXT[result.case],
-        _distinct_text(result.n_A),
-        _distinct_text(result.n_B),
-        _distinct_text(result.Q),
+        np.array([label + "," for label in _CASE_FIELDS], dtype="S")[result.case],
+        _distinct_text(result.n_A, ","),
+        _distinct_text(result.n_B, ","),
+        _distinct_text(result.Q, "\n"),
     ]
     handle.write(_csv_lines(fields))
 
@@ -502,13 +489,8 @@ def stream_sweep(
             del block  # so the next block is solved with only itself held
     if downward:
         found.reverse()  # listed in grid order, that is by decreasing axis value
-    return SweepSummary(
-        rows,
-        skipped,
-        min_Q if rows else None,
-        max_Q if rows else None,
-        tuple(found),
-    )
+    Q_range = (min_Q, max_Q) if rows else (None, None)
+    return SweepSummary(rows, skipped, *Q_range, tuple(found))
 
 
 def _uniform_threshold(p) -> np.ndarray:

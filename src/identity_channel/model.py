@@ -99,7 +99,7 @@ class SenderStrategy:
         """Probability the sender emits message `a` for source (x, type)."""
         if x == 1:
             return self.m_A if source_type is Group.A else self.m_B
-        return (1.0 - self.n_A) if source_type is Group.A else (1.0 - self.n_B)
+        return (1 - self.n_A) if source_type is Group.A else (1 - self.n_B)
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class ReceiverStrategy:
 
 def accuracy_utility(x: int, x_hat: int) -> float:
     """1 when the estimate matches the true state, else 0."""
-    return 1.0 if x == x_hat else 0.0
+    return 1 if x == x_hat else 0
 
 
 def identity_utility(x_hat: int, theta: Group, theta_bar: Group, params) -> float:
@@ -131,7 +131,7 @@ def identity_utility(x_hat: int, theta: Group, theta_bar: Group, params) -> floa
         return -delta_I
     if x_hat == 0 and theta is not theta_bar:
         return -delta_O
-    return 0.0
+    return 0
 
 
 def receiver_utility(

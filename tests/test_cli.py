@@ -168,6 +168,24 @@ class TestConfigLoading:
         assert captured.out == ""
         assert captured.err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("key", ["population", "lambda_a_A", "lo"])
+    def test_repeated_key_usage_error(self, capsys, tmp_path, balanced_params, key):
+        # json.loads alone keeps the last value, here a valid one after a bad one.
+        population = json.dumps(balanced_params)
+        axis = '"name": "delta_O_A", "lo": 0, "hi": 2, "resolution": 3'
+        if key == "population":
+            population = '{}, "population": ' + population
+        elif key == "lambda_a_A":
+            population = '{"lambda_a_A": -5, ' + population[1:]
+        else:
+            axis = '"lo": "x", ' + axis
+        text = '{"population": %s, "sweep": {"axes": [{%s}]}}' % (population, axis)
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path), "--out", os.devnull]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: config repeats the key {key!r}\n"
+
     def test_loads_blocks(self, balanced_config):
         estimator = load_config(balanced_config, "estimator")[1]
         assert estimator == {"delta": 0.01, "M": 10000}
@@ -190,6 +208,23 @@ class TestEquilibriumCommand:
         code, report = run_json(capsys, ["equilibrium", "--config", str(path)])
         assert code == EXIT_OK
         assert report["Q"] == 4.0
+
+    def test_infinite_k_report_is_standard_json(
+        self, capsys, tmp_path, balanced_params
+    ):
+        # Type A's k = (ls dI + la) / (ls dO - la) has a zero denominator at
+        # lambda_a_A = 0.9, and JSON has no number for the infinite k_A.
+        params = dict(balanced_params, lambda_a_A=0.9)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"population": params}))
+        assert main(["equilibrium", "--config", str(path)]) == EXIT_OK
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not standard JSON")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=strict)
+        assert report["k_A"] == "inf"
+        assert report["case"] == "k_A>k_B>1"
 
     def test_assumption_violation_exits_2(self, tmp_path, balanced_params):
         params = dict(balanced_params, delta_I_A=3.0)

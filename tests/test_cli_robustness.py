@@ -2,11 +2,11 @@
 
 Whatever a config holds, each command either reports or fails with one
 line: exit 0 (or 1 for the property-checking `verify` and `sweep --audit`)
-with a JSON report on stdout, every real in it at 12 significant digits,
-and nothing on stderr, or exit 2 or 64 with exactly one stderr line and
-nothing on stdout.  No run warns, and none leaves a CSV behind on failure
-or a temporary file at all.  Grids stay small (at most 50 cells an axis, N
-at most 10^6), so the time spent is the code's.
+with a standard JSON report on stdout, every real in it at 12 significant
+digits, and nothing on stderr, or exit 2 or 64 with exactly one stderr
+line and nothing on stdout.  No run warns, and none leaves a CSV behind on
+failure or a temporary file at all.  Grids stay small (at most 50 cells an
+axis, N at most 10^6), so the time spent is the code's.
 """
 
 import contextlib
@@ -143,6 +143,11 @@ def run(argv):
     return code, stdout.getvalue(), stderr.getvalue(), caught
 
 
+def reject_constant(constant):
+    """`json.loads`'s parse_constant: standard JSON has no Infinity or NaN."""
+    raise ValueError(f"{constant} is not standard JSON")
+
+
 @settings(
     max_examples=500,
     derandomize=True,
@@ -166,7 +171,11 @@ def test_every_config_reports_or_fails_with_one_line(config, command):
         assert code == EXIT_OK or command in (["verify"], ["sweep", "--audit"])
         assert err == ""
         reals = []
-        json.loads(out, parse_float=lambda text: reals.append(float(text)))
+        json.loads(
+            out,
+            parse_float=lambda text: reals.append(float(text)),
+            parse_constant=reject_constant,
+        )
         assert [v for v in reals if float(f"{v:.12g}") != v] == []
         assert left == (["c.json", "out.csv"] if writes else ["c.json"])
     else:
