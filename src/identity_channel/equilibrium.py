@@ -197,9 +197,10 @@ def _nudge(a, b, pts, bel_A, bel_B) -> np.ndarray:
 
     While type A rejects a point, its b moves toward 0, else while type B
     rejects it, its a does, by 1, 2, 4, ... ulps (doubling each iteration,
-    at most 64); only the points the last iteration moved are tested again.
-    `bel_A` and `bel_B` are the points' first test; returns whether both
-    types believe each point at the end.
+    at most 64); only the points the last iteration moved are tested again,
+    so points both types believe at the first test, `bel_A` and `bel_B`,
+    are left as they are.  Returns whether both types believe each point
+    at the end.
     """
     for step in range(_NUDGE_STEPS):
         lower_B = ~bel_A & (b > 0.0)
@@ -273,8 +274,8 @@ def solve_cells(k_A, k_B, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     unbounded above where k_A <= 0.  Its `CASE_LABELS` index is 1 where
     silent, else the first that holds of k_A, k_B <= 0 (0), k_A <= 0 (5),
     k_A <= 1 (2), k_B <= 1 (3), or 4.  A point on a constraint boundary can
-    round to a residual a few ulps below zero, so the points a type rejects
-    at the first test are backed off by `_nudge`.
+    round to a residual a few ulps below zero, so every point goes through
+    `_nudge`, which backs off those a type rejects at the first test.
     Where k_B >= k_A >= 0 the silent point is in the cell's case closures
     too: it replaces a point of cases 2 to 5 that stays unbelieved or ties
     it at quality 2, if both types believe it.
@@ -289,15 +290,7 @@ def solve_cells(k_A, k_B, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Overflowing rows round their residuals to inf or NaN, and are
     # rejected by the comparisons without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        bel_A, bel_B = believes((1.0, 1.0, a, b), params)
-        ok = bel_A & bel_B
-        (rejected,) = np.nonzero(~ok)
-        if len(rejected):
-            a_r, b_r = a[rejected], b[rejected]
-            ok[rejected] = _nudge(
-                a_r, b_r, params[:, rejected], bel_A[rejected], bel_B[rejected]
-            )
-            a[rejected], b[rejected] = a_r, b_r
+        ok = _nudge(a, b, params, *believes((1.0, 1.0, a, b), params))
         (quiet,) = np.nonzero(
             (k_B >= k_A) & (k_A >= 0.0) & (case > 1) & (~ok | (2.0 + a + b == 2.0))
         )

@@ -10,9 +10,7 @@ quality / 4 for believing receivers.
 from __future__ import annotations
 
 import contextlib
-import csv
 import enum
-import io
 import itertools
 import math
 import os
@@ -161,8 +159,8 @@ class SweepResult:
     (see `SweepAxis.values`); `skipped` counts the block's cells that were
     not solved.  The other arrays hold one entry per solved cell; `case`
     indexes `CASE_LABELS`.  Every encoding has m_A = m_B = 1.  `k_rows`
-    holds, for receiver types A and B, the first of the type rows the
-    block's cells use and k of each row from there on (see `_type_rows`),
+    holds, for receiver types A and B, the `first` type row of
+    `_type_rows` over the block's cells and k of each row from there on,
     whether or not a cell using it was solved, and `rows` holds the solved
     cells' type rows for A and B, counted from that first row.
     """
@@ -180,60 +178,46 @@ class SweepResult:
     rows: tuple[np.ndarray, np.ndarray]
 
 
-def _moving(spec: SweepSpec, group: Group) -> list[int]:
-    """The axes along which receiver type `group`'s parameters change.
+def _type_rows(spec: SweepSpec, group: Group, index) -> tuple:
+    """(first, row, params): receiver type `group`'s rows at the cells of grid `index`.
 
-    An axis moves the type its name ends in; its simplex complement is the
-    same type's other weight.
+    A type's parameters change only along the axes named for it (its
+    simplex complement is the same type's other weight), so its rows
+    number those axes' indices row-major: all 0 for a type no axis moves,
+    an axis's index for a type one axis moves, and the grid position for a
+    type both axes move.  `row` is each cell's row counted from `first`,
+    the least, and `params` holds the type's four parameters, as columns,
+    at each row from `first` to the greatest.
     """
     suffix = f"_{group.value}"
-    return [k for k, axis in enumerate(spec.axes) if axis.name.endswith(suffix)]
-
-
-def _type_rows(spec: SweepSpec, group: Group, index) -> np.ndarray:
-    """The row of receiver type `group`'s parameters at each cell of grid `index`.
-
-    A type's parameters depend only on the indices of the axes that move
-    it, so its rows number those indices row-major: all 0 for a type no
-    axis moves, an axis's index for a type one axis moves, and the grid
-    position for a type both axes move.  `index` holds the cells' index
-    along each axis; the index of the one axis moving a type is returned
-    as it is.
-    """
-    moving = _moving(spec, group)
-    if not moving:
-        return np.zeros_like(index[0])
-    row = index[moving[0]]
+    names = [name for name in PARAM_NAMES if name.endswith(suffix)]
+    moving = [k for k, axis in enumerate(spec.axes) if axis.name.endswith(suffix)]
+    row = index[moving[0]] if moving else np.zeros_like(index[0])
     for k in moving[1:]:
         row = row * spec.shape[k] + index[k]
-    return row
-
-
-def _type_params(spec: SweepSpec, group: Group, rows: np.ndarray) -> np.ndarray:
-    """Receiver type `group`'s four parameters, as columns, at its `rows`."""
-    names = [name for name in PARAM_NAMES if name.endswith(f"_{group.value}")]
+    first = int(row.min())
+    rows = np.arange(first, int(row.max()) + 1)
     base = [getattr(spec.base, name) for name in names]
     params = np.repeat(np.array(base)[:, None], len(rows), 1)
-    moving = _moving(spec, group)
-    index = np.unravel_index(rows, [spec.shape[k] for k in moving]) if moving else ()
-    for k, i in zip(moving, index):
+    shape = [spec.shape[k] for k in moving]
+    for k, i in zip(moving, np.unravel_index(rows, shape) if moving else ()):
         axis = spec.axes[k]
         values = axis.values(i)
         params[names.index(axis.name)] = values
         if spec.simplex_constrained and axis.name in _COMPLEMENT:
             params[names.index(_COMPLEMENT[axis.name])] = 1.0 - values
-    return params
+    return first, row - first, params
 
 
 def run_sweep(spec: SweepSpec, start: int) -> SweepResult:
     """Evaluate the closed-form equilibrium on one block of the grid.
 
     The block is grid positions [start, start + `_SWEEP_BLOCK`) in row-major
-    order, cut at the grid's end.  Each receiver type's parameters, their
-    status and k are computed once per type row in the block's range
-    (`_type_rows`) by `type_ratio`; a cell takes its types' rows, and the
-    cells whose types both have status 0 are solved at once by
-    `solve_cells`.  The others are skipped and counted: a parameter is
+    order, cut at the grid's end.  `_type_rows` gives each receiver type's
+    row at every cell and its parameters once per row in the block's
+    range, and `type_ratio` their status and k; a cell takes its types'
+    rows, and the cells whose types both have status 0 are solved at once
+    by `solve_cells`.  The others are skipped and counted: a parameter is
     negative or not finite (e.g. a negative simplex complement), a type
     violates the penalty-ordering restriction, or a type's k is 0/0 or
     inf/inf.  The block depends on `spec` and `start` alone; `stream_sweep`
@@ -244,11 +228,8 @@ def run_sweep(spec: SweepSpec, start: int) -> SweepResult:
     ok = np.ones(len(position), dtype=bool)
     rows, params, k_rows = [], [], []
     for group in Group:
-        row = _type_rows(spec, group, index)
-        first = int(row.min())
-        p = _type_params(spec, group, np.arange(first, int(row.max()) + 1))
+        first, row, p = _type_rows(spec, group, index)
         status, k = type_ratio(group, p)
-        row = row - first
         ok &= (status == 0)[row]
         rows.append(row)
         params.append(p)
@@ -277,19 +258,14 @@ def _text(values: np.ndarray, end: str) -> np.ndarray:
     return np.array([_fmt(v) + end for v in values.tolist()], dtype="S")
 
 
-def _csv_field(text: str) -> str:
-    """`text` as csv.writer writes it, quoted where it must be."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="").writerow([text])
-    return buffer.getvalue()
-
-
 #: The sweep CSV's header line; `write_sweep_csv` writes the rows under it.
 SWEEP_CSV_HEADER = b"axis1,axis2,k_A,k_B,case,n_A,n_B,Q\n"
 
-#: Each case label as csv.writer writes it: the only field that can need
-#: quoting (a label may contain a comma).
-_CASE_FIELDS = [_csv_field(label) for label in CASE_LABELS]
+#: Each case label's CSV text and comma, quoted where the label holds a
+#: comma: the only field of a sweep row that can need quoting.
+_CASE_TEXT = np.array(
+    [f'"{label}",' if "," in label else f"{label}," for label in CASE_LABELS], dtype="S"
+)
 
 
 def _distinct_text(column: np.ndarray, end: str) -> np.ndarray:
@@ -338,9 +314,11 @@ def _csv_lines(fields: list[np.ndarray]) -> np.ndarray:
 def write_sweep_csv(result: SweepResult, handle, held: dict) -> None:
     """Write one block's CSV rows, one per solved cell, to the binary file `handle`.
 
-    Rows carry 12 significant digits under `SWEEP_CSV_HEADER`; a 1-D
-    sweep's axis2 is empty.  Each column's text ends in its separator, a
-    comma or, for Q, a newline.  Each axis value is formatted once per
+    Rows carry 12 significant digits under `SWEEP_CSV_HEADER`.  Each
+    column's text ends in its separator, a comma or, for Q, a newline; a
+    1-D sweep's axis text ends in two commas, leaving its axis2 empty.
+    A case label is quoted where it holds a comma (`_CASE_TEXT`), as
+    csv.writer quotes it.  Each axis value is formatted once per
     grid index in the block's range, k_A and k_B once per type row of
     `result.k_rows`, and n_A, n_B and Q once per distinct value of the
     block (by bits, so -0.0 stays "-0"; `_distinct_text` says why values
@@ -357,20 +335,19 @@ def write_sweep_csv(result: SweepResult, handle, held: dict) -> None:
     if len(result.Q) == 0:
         return
     fields = []
+    end = ",," if len(result.index) == 1 else ","  # a 1-D sweep's axis2 is empty
     for k, (axis, i) in enumerate(zip(result.spec.axes, result.index)):
         # A block's cells are consecutive grid positions, so each axis's
         # indices span a range no longer than the block or the axis.
         span = (int(i.min()), int(i.max()) + 1)
-        text = _span_text(held, k, span, lambda s: axis.values(np.arange(*s)), ",")
+        text = _span_text(held, k, span, lambda s: axis.values(np.arange(*s)), end)
         fields.append(text[i - span[0]])
-    if len(fields) == 1:
-        fields.append(np.full(len(result.Q), b","))
     for group, (first, ratios), row in zip(Group, result.k_rows, result.rows):
         span = (first, first + len(ratios))
         text = _span_text(held, group, span, lambda _: ratios, ",")
         fields.append(text[row])
     fields += [
-        np.array([label + "," for label in _CASE_FIELDS], dtype="S")[result.case],
+        _CASE_TEXT[result.case],
         _distinct_text(result.n_A, ","),
         _distinct_text(result.n_B, ","),
         _distinct_text(result.Q, "\n"),

@@ -327,6 +327,32 @@ def test_sweep_csv_digest(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256[name]
 
 
+#: Strategies printed in the `BALANCED_GRID` CSV that type A, and
+#: separately type B, does not believe (README): the CSV's n_A and n_B are
+#: 12-digit display values with no belief check.
+UNBELIEVED_BALANCED_ROWS = 2367
+
+
+def test_balanced_csv_strategies_not_believed_at_most_measured(tmp_path):
+    """The printed n_A, n_B, judged at each cell's unprinted axis values."""
+    spec = spec_of(*BALANCED_GRID)
+    out = tmp_path / "sweep.csv"
+    stream_sweep(spec, out)
+    with open(out, newline="") as handle:
+        records = list(csv.DictReader(handle))
+    assert len(records) == 27889
+    params = np.repeat(np.array(list(spec.base))[:, None], len(records), 1)
+    for column, axis in zip(("axis1", "axis2"), spec.axes):
+        grid = axis.values(np.arange(axis.resolution)).tolist()
+        unprinted = {f"{value:.12g}": value for value in grid}
+        assert len(unprinted) == len(grid)
+        params[PARAM_NAMES.index(axis.name)] = [unprinted[r[column]] for r in records]
+    n_A, n_B = (np.array([float(r[name]) for r in records]) for name in ("n_A", "n_B"))
+    bel_A, bel_B = believes((1.0, 1.0, n_A, n_B), params)
+    assert (~bel_A).sum() <= UNBELIEVED_BALANCED_ROWS
+    assert (~bel_B).sum() <= UNBELIEVED_BALANCED_ROWS
+
+
 @pytest.mark.parametrize("name", list(GRIDS))
 def test_sweep_matches_reference(name, tmp_path, whole_sweep):
     overrides, axes, simplex, features = GRIDS[name]
@@ -478,7 +504,7 @@ def written_sweeps(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     position = np.arange(cells)
     index = np.unravel_index(position, spec.shape)
-    rows = [_type_rows(spec, group, index) for group in Group]
+    rows = [_type_rows(spec, group, index)[1] for group in Group]  # first is 0
     k = [rng.choice(pool, r.max() + 1) for r in rows]
     is_solved = rng.random(cells) < draw(st.sampled_from([0.0, 0.5, 1.0]))
     solved = position[is_solved]

@@ -29,6 +29,7 @@ from identity_channel.experiments import (
     write_sweep_csv,
 )
 from identity_channel.model import (
+    PARAM_NAMES,
     Group,
     Population,
     SenderStrategy,
@@ -149,8 +150,11 @@ class TestRunSweep:
     def test_blocks_carry_cell_to_row_map(self, balanced_population, axes, simplex):
         """Each block's axis indices and type rows are its solved cells' own.
 
-        A block depends on (spec, start) alone: solving the blocks in
-        reverse order gives the same blocks, bit for bit.
+        `_type_rows` on a whole block gives each cell the base population
+        with each axis's value at the cell's index (one minus it on the
+        simplex complement).  A block depends on (spec, start) alone:
+        solving the blocks in reverse order gives the same blocks, bit for
+        bit.
         """
         spec = SweepSpec(balanced_population, axes, simplex)
         cells = math.prod(spec.shape)
@@ -172,10 +176,21 @@ class TestRunSweep:
             for group, (first, k), rows, k_cells in zip(
                 Group, block.k_rows, block.rows, (block.k_A, block.k_B)
             ):
-                np.testing.assert_array_equal(
-                    rows, _type_rows(spec, group, block.index) - first
-                )
+                solved_first, solved_rows, _ = _type_rows(spec, group, block.index)
+                np.testing.assert_array_equal(rows, solved_rows + solved_first - first)
                 assert k[rows].tobytes() == k_cells.tobytes()
+            # Every cell of the block, solved or not, in the grid's own terms.
+            full = np.unravel_index(np.arange(start, stop), spec.shape)
+            expected = np.repeat(np.array(list(spec.base))[:, None], stop - start, 1)
+            for axis, i in zip(spec.axes, full):
+                expected[PARAM_NAMES.index(axis.name)] = axis.values(i)
+                if simplex and axis.name.startswith("lambda"):
+                    _, weight, suffix = axis.name.split("_")
+                    twin = f"lambda_{'s' if weight == 'a' else 'a'}_{suffix}"
+                    expected[PARAM_NAMES.index(twin)] = 1.0 - axis.values(i)
+            for group, own in zip(Group, (expected[:4], expected[4:])):
+                _, row, params = _type_rows(spec, group, full)
+                assert params[:, row].tobytes() == own.tobytes()
         assert skipped
         for start, block in reversed(list(zip(starts, blocks))):
             again = run_sweep(spec, start)
